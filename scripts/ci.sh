@@ -30,6 +30,9 @@
 #   7. the simulation-core perf smoke (scripts/bench.sh --smoke), failing
 #      on >20% events/sec regression vs the committed BENCH_sim.json (and
 #      on sweep-scaling regression vs its committed baseline);
+#   7b. the benchmark smoke: every BENCHMARK.json workload through
+#      perfbench/run.py (3 reps at seed 1), failing unless its result
+#      line reports "correct": true and "failed": 0;
 #   8. the suite under ASan/UBSan via scripts/sanitize.sh;
 #   9. the sweep tests + driver under TSan via scripts/sanitize.sh --tsan.
 #
@@ -117,6 +120,21 @@ cmake --build build -j "$(nproc)" --target bench_fig_matrix
 
 stage "bench smoke"
 scripts/bench.sh --smoke
+
+stage "benchmark smoke"
+# The repo benchmark builds perfbench/ against src/, and its
+# ForwardingStack overrides every KvStack virtual: an interface change
+# can break it without any tier-1 test noticing. Each workload must
+# build, run, and end with a correct, failure-free JSON result line.
+for w in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0 --trace 0 |
+    tail -n 1 |
+    python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+print("%s: correct=%s failed=%s" % (sys.argv[1], r.get("correct"), r.get("failed")))
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' "$w"
+done
 
 if [ "$FAST" = 0 ]; then
   stage "sanitizers (ASan/UBSan)"

@@ -180,8 +180,9 @@ struct MixResult {
   u64 urgent_fetches = 0;  ///< SQ fetches via the urgent-class fast path
 };
 
-/// Run `spec` against `stack`. Inserts/updates call store(), reads call
-/// retrieve(), deletes call remove(). The run finishes when every op has
+/// Run `spec` against `stack`. Inserts/updates call store_as(), reads
+/// call retrieve_as(), deletes call remove_as(), each with the tenant's
+/// TenantCtx (the default ctx here). The run finishes when every op has
 /// completed; see RunOptions for draining, tracing, telemetry, and fault
 /// injection. Equivalent to run_mix(stack, TenantMix::single(spec),
 /// opts).combined — same issue order, byte-identical observables.

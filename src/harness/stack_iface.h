@@ -141,26 +141,25 @@ class KvStack {
 
   virtual ~KvStack() = default;
 
-  virtual void store(std::string_view key, ValueDesc v, StoreDone done) = 0;
-  virtual void retrieve(std::string_view key, RetrieveDone done) = 0;
-  virtual void remove(std::string_view key, RemoveDone done) = 0;
-
-  // --- Tenant-aware entry points ---------------------------------------
+  // --- Op entry points ---------------------------------------------------
   /// Issue the op on behalf of tenant `t`: the op addresses namespace
-  /// t.nsid's keyspace and rides submission queue t.queue. Beds that
-  /// model neither fall back to the plain path (ctx ignored); the
-  /// default ctx always takes the exact legacy path.
-  virtual void store_as(const TenantCtx& /*t*/, std::string_view key,
-                        ValueDesc v, StoreDone done) {
-    store(key, v, std::move(done));
+  /// t.nsid's keyspace and rides submission queue t.queue. These are what
+  /// a stack implements; the default ctx is the exact pre-tenancy path.
+  virtual void store_as(const TenantCtx& t, std::string_view key,
+                        ValueDesc v, StoreDone done) = 0;
+  virtual void retrieve_as(const TenantCtx& t, std::string_view key,
+                           RetrieveDone done) = 0;
+  virtual void remove_as(const TenantCtx& t, std::string_view key,
+                         RemoveDone done) = 0;
+  /// The plain entry points: the op on behalf of the default tenant.
+  virtual void store(std::string_view key, ValueDesc v, StoreDone done) {
+    store_as(TenantCtx{}, key, v, std::move(done));
   }
-  virtual void retrieve_as(const TenantCtx& /*t*/, std::string_view key,
-                           RetrieveDone done) {
-    retrieve(key, std::move(done));
+  virtual void retrieve(std::string_view key, RetrieveDone done) {
+    retrieve_as(TenantCtx{}, key, std::move(done));
   }
-  virtual void remove_as(const TenantCtx& /*t*/, std::string_view key,
-                         RemoveDone done) {
-    remove(key, std::move(done));
+  virtual void remove(std::string_view key, RemoveDone done) {
+    remove_as(TenantCtx{}, key, std::move(done));
   }
   /// The bed's NVMe link (per-queue stats for MixResult), when simulated.
   virtual const nvme::NvmeLink* nvme_link() const { return nullptr; }

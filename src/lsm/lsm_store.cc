@@ -467,13 +467,14 @@ void LsmStore::install_compaction(
               return a->smallest < b->smallest;
             });
 
-  // Delete replaced files (trivial moves keep theirs).
-  for (const auto& s : inputs_lo)
-    if (s->file != fs::FileSystem::kInvalidHandle)
-      fs_.remove(s->file, [](Status) {});
-  for (const auto& s : inputs_hi)
-    if (s->file != fs::FileSystem::kInvalidHandle)
-      fs_.remove(s->file, [](Status) {});
+  // Delete replaced files (trivial moves keep theirs). A get that
+  // snapshotted one of them must not read it any more (get_from_ssts).
+  for (const auto* gone : {&inputs_lo, &inputs_hi})
+    for (const auto& s : *gone) {
+      s->retired = true;
+      if (s->file != fs::FileSystem::kInvalidHandle)
+        fs_.remove(s->file, [](Status) {});
+    }
 
   for (auto& o : outputs) o->compacting = false;
   --compactions_inflight_;
@@ -508,6 +509,17 @@ void LsmStore::get(std::string_view key, GetDone done, u32 queue) {
     }
   }
 
+  const u64 khash = hash64(key);
+  eq_.schedule_at(t_cpu, [this, k = std::string(key), khash,
+                          candidates = sst_candidates(key),
+                          done = std::move(done), queue]() mutable {
+    get_from_ssts(std::move(k), khash, std::move(candidates), 0,
+                  std::move(done), queue);
+  });
+}
+
+std::vector<std::shared_ptr<Sst>> LsmStore::sst_candidates(
+    std::string_view key) const {
   std::vector<std::shared_ptr<Sst>> candidates;
   for (auto it = levels_[0].rbegin(); it != levels_[0].rend(); ++it)
     if ((*it)->overlaps(key, key)) candidates.push_back(*it);
@@ -517,14 +529,7 @@ void LsmStore::get(std::string_view key, GetDone done, u32 queue) {
         candidates.push_back(s);
         break;  // levels >0 are non-overlapping: at most one file
       }
-
-  const u64 khash = hash64(key);
-  eq_.schedule_at(t_cpu, [this, k = std::string(key), khash,
-                          candidates = std::move(candidates),
-                          done = std::move(done), queue]() mutable {
-    get_from_ssts(std::move(k), khash, std::move(candidates), 0,
-                  std::move(done), queue);
-  });
+  return candidates;
 }
 
 void LsmStore::get_from_ssts(std::string key, u64 khash,
@@ -574,6 +579,15 @@ void LsmStore::get_from_ssts(std::string key, u64 khash,
   const u64 nblocks =
       (e.value.size + cfg_.data_block_bytes - 1) / cfg_.data_block_bytes;
   const u64 read_bytes = std::max<u64>(1, nblocks) * cfg_.data_block_bytes;
+  if (sst->retired) {
+    // A compaction installed since the candidates were snapshotted and
+    // removed this file; its entries now live in the current version.
+    ++retired_lookups_;
+    auto current = sst_candidates(key);
+    get_from_ssts(std::move(key), khash, std::move(current), 0,
+                  std::move(done), queue);
+    return;
+  }
   fs_.set_queue(queue);  // this read runs events after the tenant's issue
   fs_.read(sst->file, block_no * cfg_.data_block_bytes, read_bytes,
            [this, block_key, s, v, done = std::move(done)](Status rs,

@@ -111,6 +111,9 @@ class LsmStore {
   [[nodiscard]] u64 trivial_moves() const { return trivial_moves_; }
   [[nodiscard]] u64 write_stall_events() const { return stall_events_; }
   [[nodiscard]] u64 flushes_run() const { return flushes_; }
+  /// Gets whose snapshotted SST was retired by a compaction before their
+  /// data-block read, and so re-ran against the current version.
+  [[nodiscard]] u64 retired_sst_lookups() const { return retired_lookups_; }
   [[nodiscard]] u32 level_file_count(u32 level) const;
 
   /// Test support: exhaustively locate every stored version of `key`
@@ -154,6 +157,9 @@ class LsmStore {
   void maybe_quiesce();
 
   // read path
+  /// SSTs of the current version that may hold `key`, newest first.
+  [[nodiscard]] std::vector<std::shared_ptr<Sst>> sst_candidates(
+      std::string_view key) const;
   void get_from_ssts(std::string key, u64 khash,
                      std::vector<std::shared_ptr<Sst>> candidates, size_t idx,
                      GetDone done, u32 queue);
@@ -233,6 +239,7 @@ class LsmStore {
   u32 peak_compactions_ = 0;
   u64 trivial_moves_ = 0;
   u64 flushes_ = 0;
+  u64 retired_lookups_ = 0;
   std::vector<sim::Task> quiesce_waiters_;
 };
 

@@ -43,6 +43,7 @@ inline u64 entry_file_bytes(const SstEntry& e) {
 struct Sst {
   u64 id = 0;
   bool compacting = false;  ///< claimed by a running compaction job
+  bool retired = false;     ///< replaced by a compaction; file removed
   fs::FileSystem::Handle file = fs::FileSystem::kInvalidHandle;
   u64 file_bytes = 0;
   std::vector<SstEntry> entries;    // sorted by key

@@ -6,6 +6,7 @@
 // checks: every recovery action must keep mapping/flash state consistent.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "harness/report.h"
@@ -400,6 +401,72 @@ TEST(FaultRecovery, DataRemainsReadableAfterFaultyChurn) {
   EXPECT_EQ(r.errors.total(), 0u);
   EXPECT_GT(r.ops - r.not_found, 0u);
 }
+
+// --- retry budget, end to end on every bed ---------------------------------
+
+std::unique_ptr<KvStack> make_bed(const std::string& kind,
+                                  const RetryPolicy& retry) {
+  if (kind == "kvssd") {
+    KvssdBedConfig c;
+    c.dev = tiny_dev();
+    c.retry = retry;
+    return std::make_unique<KvssdBed>(c);
+  }
+  if (kind == "lsm") {
+    LsmBedConfig c;
+    c.dev = tiny_dev();
+    c.retry = retry;
+    return std::make_unique<LsmBed>(c);
+  }
+  HashKvBedConfig c;
+  c.dev = tiny_dev();
+  c.retry = retry;
+  return std::make_unique<HashKvBed>(c);
+}
+
+/// The stress plan plus more uncorrectable reads and busy bounces, so
+/// every bed needs more re-drives than a small retry bucket holds.
+ssd::FaultPlan retry_heavy_plan() {
+  ssd::FaultPlan p = stress_plan();
+  p.read_uber_base = 0.02;
+  p.stall_prob = 0.01;
+  p.busy_window_ns = 200 * kUs;
+  return p;
+}
+
+class RetryBudgetEndToEnd : public ::testing::TestWithParam<const char*> {};
+
+// With retry_budget = N and no refill, a bed re-drives at most N times:
+// the failures it was refused surface to the host, every op still
+// completes, and nothing stays in flight once the run has drained.
+TEST_P(RetryBudgetEndToEnd, CapsReDrivesAndSurfacesDeniedFailures) {
+  constexpr u32 kBudget = 8;
+  auto run_with = [](u32 budget) {
+    RetryPolicy retry;
+    retry.retry_budget = budget;  // retry_refill_per_sec = 0: a hard cap
+    auto bed = make_bed(GetParam(), retry);
+    (void)fill_stack(*bed, 1200, 16, 2048, 32);
+    RunOptions opts;
+    opts.drain_after = true;
+    opts.faults = retry_heavy_plan();
+    const RunResult r = run_workload(*bed, churn_spec(), opts);
+    EXPECT_EQ(r.host_retries, bed->host_retries());
+    EXPECT_EQ(bed->inflight_host_ops(), 0u);
+    return r;
+  };
+  const RunResult unlimited = run_with(0);
+  ASSERT_GT(unlimited.host_retries, kBudget);  // the budget must bind
+  const RunResult capped = run_with(kBudget);
+  EXPECT_LE(capped.host_retries, kBudget);
+  EXPECT_EQ(capped.ops, churn_spec().num_ops);
+  auto retryable = [](const ErrorCounts& e) {
+    return e.media + e.busy + e.timeout;
+  };
+  EXPECT_GT(retryable(capped.errors), retryable(unlimited.errors));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBeds, RetryBudgetEndToEnd,
+                         ::testing::Values("kvssd", "lsm", "hashkv"));
 
 }  // namespace
 }  // namespace kvsim::harness

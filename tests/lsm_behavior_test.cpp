@@ -8,6 +8,7 @@
 #include "harness/runner.h"
 #include "harness/stacks.h"
 #include "workload/workload.h"
+#include "workload/ycsb.h"
 
 namespace kvsim::lsm {
 namespace {
@@ -159,6 +160,29 @@ TEST(LsmBehavior, TombstonesEventuallyCompactAway) {
   b.drain();
   for (u64 i = 0; i < 2000; i += 101)
     EXPECT_EQ(b.get(wl::make_key(i, 12)).first, Status::kNotFound) << i;
+}
+
+// A get snapshots its candidate SSTs, and its data-block read is issued
+// after a scheduled delay. A compaction installed in between removes the
+// snapshotted file; the read must re-run against the current version, not
+// read the dead file (which used to fail the get with kInvalidArgument).
+TEST(LsmBehavior, GetsRacingCompactionInstallNeverFail) {
+  harness::LsmBedConfig c;
+  c.lsm.memtable_bytes = 2 * MiB;
+  c.lsm.l1_target_bytes = 16 * MiB;
+  c.lsm.sst_target_bytes = 4 * MiB;
+  harness::LsmBed bed(c);
+  constexpr u64 kRecords = 100'000;
+  const wl::YcsbRecordConfig rec;  // 23 B keys, 10 x 100 B fields
+  (void)harness::fill_stack(bed, kRecords, rec.key_bytes, rec.value_bytes(),
+                            128, 1);
+  wl::WorkloadSpec spec =
+      wl::ycsb_spec(wl::YcsbWorkload::kA, kRecords, 300'000, rec, 1);
+  spec.queue_depth = 32;
+  const harness::RunResult r = harness::run_workload(bed, spec);
+  EXPECT_EQ(r.ops, 300'000u);
+  EXPECT_EQ(r.errors.total(), 0u);
+  EXPECT_GT(bed.store().retired_sst_lookups(), 0u);  // the race did occur
 }
 
 }  // namespace

@@ -214,5 +214,49 @@ TEST(TenantIsolation, WeightedQueueBoundsVictimTailUnderSaturation) {
   EXPECT_GE(shared, 2.0 * iso) << "iso=" << iso << " shared=" << shared;
 }
 
+// A re-drive rides its tenant's queue. On the block beds the queue is a
+// sticky hint on the device, which other tenants move between a failed
+// attempt and its re-drive after backoff, so every attempt must set it
+// again. Tenant 0 reads a namespace nobody loaded: its gets never reach
+// the device, but each one moves the hint to queue 0. Every device
+// command in the run is then an attempt of tenant 1, and all of them must
+// be counted on queue 1.
+TEST(TenantIsolation, ReDrivesRideTheIssuingTenantsQueue) {
+  HashKvBedConfig c;
+  c.dev = tiny_dev();
+  c.nvme = two_queue_nvme();
+  c.ftl.read_cache_pages = 1;  // gets reach flash, where faults are drawn
+  c.ftl.readahead = false;
+  HashKvBed bed(c);
+  load_tenant(bed, /*nsid=*/2, /*queue=*/1);
+  auto reader = [](u8 nsid, u32 queue, u64 ops, u32 qd) {
+    wl::TenantSpec t;
+    t.nsid = nsid;
+    t.queue = queue;
+    t.spec.num_ops = ops;
+    t.spec.key_space = kKeys;
+    t.spec.key_bytes = 16;
+    t.spec.value_bytes = 512;
+    t.spec.mix = wl::OpMix::read_only();
+    t.spec.queue_depth = qd;
+    t.spec.seed = 20 + nsid;
+    return t;
+  };
+  wl::TenantMix mix;
+  mix.tenants.push_back(reader(/*nsid=*/1, /*queue=*/0, 20'000, 1));
+  mix.tenants.push_back(reader(/*nsid=*/2, /*queue=*/1, 600, 4));
+  RunOptions opts;
+  opts.faults.enabled = true;
+  opts.faults.read_uber_base = 0.02;  // uncorrectable reads: kMediaError
+  const MixResult r = run_mix(bed, mix, opts);
+
+  ASSERT_EQ(r.tenants[0].result.not_found, 20'000u);
+  ASSERT_GT(r.combined.host_retries, 0u);
+  ASSERT_EQ(r.queues.size(), 2u);
+  EXPECT_EQ(r.queues[0].stats.submissions, 0u);
+  EXPECT_EQ(r.queues[1].stats.submissions,
+            r.tenants[1].result.ops + r.combined.host_retries);
+}
+
 }  // namespace
 }  // namespace kvsim::harness
