@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 namespace kvsim {
 
@@ -11,6 +12,16 @@ void BandwidthTracker::add(TimeNs when, u64 bytes) {
   windows_[idx] += bytes;
   total_bytes_ += bytes;
   last_event_ = std::max(last_event_, when);
+}
+
+void BandwidthTracker::merge(const BandwidthTracker& o) {
+  if (o.window_ != window_)
+    throw std::invalid_argument("BandwidthTracker::merge: window mismatch");
+  if (o.windows_.size() > windows_.size())
+    windows_.resize(o.windows_.size(), 0);
+  for (size_t i = 0; i < o.windows_.size(); ++i) windows_[i] += o.windows_[i];
+  total_bytes_ += o.total_bytes_;
+  last_event_ = std::max(last_event_, o.last_event_);
 }
 
 double BandwidthTracker::bytes_per_sec(size_t i) const {

@@ -15,6 +15,9 @@ class BandwidthTracker {
   explicit BandwidthTracker(TimeNs window = 100 * kMs) : window_(window) {}
 
   void add(TimeNs when, u64 bytes);
+  /// Fold `other` in (same window width): the result is what one tracker
+  /// fed both sample streams would hold.
+  void merge(const BandwidthTracker& other);
 
   [[nodiscard]] TimeNs window() const { return window_; }
   [[nodiscard]] size_t num_windows() const { return windows_.size(); }

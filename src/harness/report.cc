@@ -212,78 +212,6 @@ void mix_result_json(JsonWriter& w, const MixResult& m) {
   w.end_object();
 }
 
-void device_json(JsonWriter& w, const char* name, const ssd::FtlStats* ftl,
-                 const flash::FlashController* flash,
-                 const ssd::FaultInjector* faults) {
-  w.begin_object();
-  w.kv("name", name ? name : "");
-  if (ftl) {
-    w.key("ftl").begin_object();
-    w.kv("host_read_ops", ftl->host_read_ops);
-    w.kv("host_write_ops", ftl->host_write_ops);
-    w.kv("host_bytes_read", ftl->host_bytes_read);
-    w.kv("host_bytes_written", ftl->host_bytes_written);
-    w.kv("gc_runs", ftl->gc_runs);
-    w.kv("gc_foreground_runs", ftl->gc_foreground_runs);
-    w.kv("gc_migrated_bytes", ftl->gc_migrated_bytes);
-    w.kv("gc_migrated_units", ftl->gc_migrated_units);
-    w.kv("rmw_ops", ftl->rmw_ops);
-    w.kv("flash_bytes_written", ftl->flash_bytes_written);
-    w.kv("waf", ftl->waf());
-    if ((*ftl).any_fault_activity()) {
-      w.kv("read_media_errors", (*ftl).read_media_errors);
-      w.kv("program_failures", (*ftl).program_failures);
-      w.kv("erase_failures", (*ftl).erase_failures);
-      w.kv("grown_bad_blocks", (*ftl).grown_bad_blocks);
-      w.kv("remapped_units", (*ftl).remapped_units);
-      w.kv("reprogrammed_pages", (*ftl).reprogrammed_pages);
-      w.kv("busy_rejections", (*ftl).busy_rejections);
-      w.kv("op_timeouts", (*ftl).op_timeouts);
-    }
-    w.end_object();
-  }
-  if (flash) {
-    w.key("flash").begin_object();
-    const auto& fs = flash->stats();
-    w.key("counters").begin_object();
-    w.kv("page_reads", fs.page_reads);
-    w.kv("page_programs", fs.page_programs);
-    w.kv("block_erases", fs.block_erases);
-    w.kv("read_retries", fs.read_retries);
-    w.kv("bytes_read", fs.bytes_read);
-    w.kv("bytes_programmed", fs.bytes_programmed);
-    w.end_object();
-    w.key("stages").begin_object();
-    w.key("read");
-    stage_breakdown_json(w, flash->read_stages());
-    w.key("program");
-    stage_breakdown_json(w, flash->program_stages());
-    w.key("erase");
-    stage_breakdown_json(w, flash->erase_stages());
-    w.end_object();
-    w.key("die_busy_ns").begin_array();
-    for (u64 d = 0; d < flash->num_dies(); ++d)
-      w.value((u64)flash->die_busy_ns(d));
-    w.end_array();
-    w.key("channel_busy_ns").begin_array();
-    for (u32 c = 0; c < flash->num_channels(); ++c)
-      w.value((u64)flash->channel_busy_ns(c));
-    w.end_array();
-    w.end_object();
-  }
-  if (faults && faults->stats().total_faults() != 0) {
-    const ssd::FaultStats& fst = faults->stats();
-    w.key("faults").begin_object();
-    w.kv("read_uncorrectable", fst.read_uncorrectable);
-    w.kv("program_fails", fst.program_fails);
-    w.kv("erase_fails", fst.erase_fails);
-    w.kv("stalls", fst.stalls);
-    w.kv("injected_retry_rounds", fst.injected_retry_rounds);
-    w.end_object();
-  }
-  w.end_object();
-}
-
 void BenchReport::add_run(const std::string& label, const RunResult& r) {
   runs_.emplace_back(label, r);
 }
@@ -324,6 +252,72 @@ void BenchReport::add_device(const char* name, const ssd::FtlStats* ftl,
   devices_.push_back(std::move(snap));
 }
 
+void BenchReport::device_snap_json(JsonWriter& w, const DeviceSnap& d) {
+  w.begin_object();
+  w.kv("name", std::string_view(d.name));
+  if (d.has_ftl) {
+    w.key("ftl").begin_object();
+    w.kv("host_read_ops", d.ftl.host_read_ops);
+    w.kv("host_write_ops", d.ftl.host_write_ops);
+    w.kv("host_bytes_read", d.ftl.host_bytes_read);
+    w.kv("host_bytes_written", d.ftl.host_bytes_written);
+    w.kv("gc_runs", d.ftl.gc_runs);
+    w.kv("gc_foreground_runs", d.ftl.gc_foreground_runs);
+    w.kv("gc_migrated_bytes", d.ftl.gc_migrated_bytes);
+    w.kv("gc_migrated_units", d.ftl.gc_migrated_units);
+    w.kv("rmw_ops", d.ftl.rmw_ops);
+    w.kv("flash_bytes_written", d.ftl.flash_bytes_written);
+    w.kv("waf", d.ftl.waf());
+    if (d.ftl.any_fault_activity()) {
+      w.kv("read_media_errors", d.ftl.read_media_errors);
+      w.kv("program_failures", d.ftl.program_failures);
+      w.kv("erase_failures", d.ftl.erase_failures);
+      w.kv("grown_bad_blocks", d.ftl.grown_bad_blocks);
+      w.kv("remapped_units", d.ftl.remapped_units);
+      w.kv("reprogrammed_pages", d.ftl.reprogrammed_pages);
+      w.kv("busy_rejections", d.ftl.busy_rejections);
+      w.kv("op_timeouts", d.ftl.op_timeouts);
+    }
+    w.end_object();
+  }
+  if (d.has_flash) {
+    w.key("flash").begin_object();
+    w.key("counters").begin_object();
+    w.kv("page_reads", d.flash_stats.page_reads);
+    w.kv("page_programs", d.flash_stats.page_programs);
+    w.kv("block_erases", d.flash_stats.block_erases);
+    w.kv("read_retries", d.flash_stats.read_retries);
+    w.kv("bytes_read", d.flash_stats.bytes_read);
+    w.kv("bytes_programmed", d.flash_stats.bytes_programmed);
+    w.end_object();
+    w.key("stages").begin_object();
+    w.key("read");
+    stage_breakdown_json(w, d.read_stages);
+    w.key("program");
+    stage_breakdown_json(w, d.program_stages);
+    w.key("erase");
+    stage_breakdown_json(w, d.erase_stages);
+    w.end_object();
+    w.key("die_busy_ns").begin_array();
+    for (u64 b : d.die_busy_ns) w.value(b);
+    w.end_array();
+    w.key("channel_busy_ns").begin_array();
+    for (u64 b : d.channel_busy_ns) w.value(b);
+    w.end_array();
+    w.end_object();
+  }
+  if (d.has_faults) {
+    w.key("faults").begin_object();
+    w.kv("read_uncorrectable", d.faults.read_uncorrectable);
+    w.kv("program_fails", d.faults.program_fails);
+    w.kv("erase_fails", d.faults.erase_fails);
+    w.kv("stalls", d.faults.stalls);
+    w.kv("injected_retry_rounds", d.faults.injected_retry_rounds);
+    w.end_object();
+  }
+  w.end_object();
+}
+
 std::string BenchReport::to_json() const {
   JsonWriter w;
   w.begin_object();
@@ -351,74 +345,7 @@ std::string BenchReport::to_json() const {
     w.end_array();
   }
   w.key("devices").begin_array();
-  for (const auto& d : devices_) {
-    // Re-serialize from the stored snapshot via the shared helpers by
-    // building a temporary view. Stage histograms and busy vectors were
-    // copied at snapshot time, so the bed may already be destroyed.
-    w.begin_object();
-    w.kv("name", std::string_view(d.name));
-    if (d.has_ftl) {
-      w.key("ftl").begin_object();
-      w.kv("host_read_ops", d.ftl.host_read_ops);
-      w.kv("host_write_ops", d.ftl.host_write_ops);
-      w.kv("host_bytes_read", d.ftl.host_bytes_read);
-      w.kv("host_bytes_written", d.ftl.host_bytes_written);
-      w.kv("gc_runs", d.ftl.gc_runs);
-      w.kv("gc_foreground_runs", d.ftl.gc_foreground_runs);
-      w.kv("gc_migrated_bytes", d.ftl.gc_migrated_bytes);
-      w.kv("gc_migrated_units", d.ftl.gc_migrated_units);
-      w.kv("rmw_ops", d.ftl.rmw_ops);
-      w.kv("flash_bytes_written", d.ftl.flash_bytes_written);
-      w.kv("waf", d.ftl.waf());
-      if (d.ftl.any_fault_activity()) {
-        w.kv("read_media_errors", d.ftl.read_media_errors);
-        w.kv("program_failures", d.ftl.program_failures);
-        w.kv("erase_failures", d.ftl.erase_failures);
-        w.kv("grown_bad_blocks", d.ftl.grown_bad_blocks);
-        w.kv("remapped_units", d.ftl.remapped_units);
-        w.kv("reprogrammed_pages", d.ftl.reprogrammed_pages);
-        w.kv("busy_rejections", d.ftl.busy_rejections);
-        w.kv("op_timeouts", d.ftl.op_timeouts);
-      }
-      w.end_object();
-    }
-    if (d.has_flash) {
-      w.key("flash").begin_object();
-      w.key("counters").begin_object();
-      w.kv("page_reads", d.flash_stats.page_reads);
-      w.kv("page_programs", d.flash_stats.page_programs);
-      w.kv("block_erases", d.flash_stats.block_erases);
-      w.kv("read_retries", d.flash_stats.read_retries);
-      w.kv("bytes_read", d.flash_stats.bytes_read);
-      w.kv("bytes_programmed", d.flash_stats.bytes_programmed);
-      w.end_object();
-      w.key("stages").begin_object();
-      w.key("read");
-      stage_breakdown_json(w, d.read_stages);
-      w.key("program");
-      stage_breakdown_json(w, d.program_stages);
-      w.key("erase");
-      stage_breakdown_json(w, d.erase_stages);
-      w.end_object();
-      w.key("die_busy_ns").begin_array();
-      for (u64 b : d.die_busy_ns) w.value(b);
-      w.end_array();
-      w.key("channel_busy_ns").begin_array();
-      for (u64 b : d.channel_busy_ns) w.value(b);
-      w.end_array();
-      w.end_object();
-    }
-    if (d.has_faults) {
-      w.key("faults").begin_object();
-      w.kv("read_uncorrectable", d.faults.read_uncorrectable);
-      w.kv("program_fails", d.faults.program_fails);
-      w.kv("erase_fails", d.faults.erase_fails);
-      w.kv("stalls", d.faults.stalls);
-      w.kv("injected_retry_rounds", d.faults.injected_retry_rounds);
-      w.end_object();
-    }
-    w.end_object();
-  }
+  for (const DeviceSnap& d : devices_) device_snap_json(w, d);
   w.end_array();
   w.end_object();
   return w.str();

@@ -6,6 +6,8 @@
 // under a label, an optional device section snapshots the bed's firmware
 // and flash telemetry, and save() writes results/<name>.json so every
 // benchmark emits machine-readable results alongside its console tables.
+// Device objects have one writer, BenchReport::device_snap_json, which
+// serializes the snapshot add_device() copied.
 #pragma once
 
 #include <string>
@@ -37,13 +39,6 @@ void run_result_json(JsonWriter& w, const RunResult& r);
 /// counter deltas (queue wait vs device service, arbitration stalls).
 void mix_result_json(JsonWriter& w, const MixResult& m);
 
-/// Serialize a device snapshot: cumulative FtlStats, FlashStats, stage
-/// breakdowns, and per-die/per-channel busy time. Any pointer may be null.
-/// `faults` adds the injector's own draw counters (fault runs only).
-void device_json(JsonWriter& w, const char* name, const ssd::FtlStats* ftl,
-                 const flash::FlashController* flash,
-                 const ssd::FaultInjector* faults = nullptr);
-
 /// Accumulates labeled runs plus device snapshots and writes one JSON
 /// document per benchmark binary.
 class BenchReport {
@@ -58,7 +53,10 @@ class BenchReport {
   /// so single-tenant report documents stay byte-identical.
   void add_mix(const std::string& label, const MixResult& m);
 
-  /// Snapshot a stack's device telemetry (cumulative at call time).
+  /// Snapshot a stack's device telemetry (cumulative at call time):
+  /// FtlStats, FlashStats, stage breakdowns and per-die/per-channel busy
+  /// time. Any pointer may be null; `faults` adds the injector's own draw
+  /// counters when it injected anything.
   void add_device(const KvStack& stack);
   void add_device(const char* name, const ssd::FtlStats* ftl,
                   const flash::FlashController* flash,
@@ -82,8 +80,11 @@ class BenchReport {
     std::vector<u64> die_busy_ns, channel_busy_ns;
     bool has_faults = false;
     ssd::FaultStats faults;
-    TimeNs at = 0;
   };
+
+  /// The one device-object writer. Works from the copied snapshot, so the
+  /// bed may already be destroyed when to_json() runs.
+  static void device_snap_json(JsonWriter& w, const DeviceSnap& d);
 
   std::string name_;
   std::vector<std::pair<std::string, RunResult>> runs_;

@@ -62,7 +62,6 @@ struct TenantState {
   TenantCtx ctx;
   RunResult result;
   u64 inflight = 0;
-  u64 completed = 0;
   u64 op_seq = 0;
   u64 digest = 0;
   TimeNs last_completion = 0;
@@ -98,13 +97,16 @@ struct TenantState {
 struct MixDriver {
   KvStack& stack;
   std::vector<TenantState> tenants;
-  RunResult result;  // combined across tenants
+  /// The combined result. During the run the driver writes only what no
+  /// tenant knows: telemetry, crash state and backlog_peak (the peak of
+  /// the summed backlog). Per-op observables land in the tenant results
+  /// alone; run_mix merges them in at the end.
+  RunResult result;
   TraceRecorder* trace;
   wl::KvtWriter* record;  // op-stream capture (RunOptions::record_ops)
   TimeNs t0;
   u64 cpu0;
   u64 inflight = 0;
-  u64 completed = 0;
   u64 backlog_total = 0;  ///< parked arrivals across all tenants
 
   MixDriver(KvStack& s, const wl::TenantMix& mix, const RunOptions& opts)
@@ -187,7 +189,6 @@ struct MixDriver {
     }
     arm_arrival(ti);
     const TimeNs now = stack.eq().now();
-    ++result.offered_ops;
     ++st.result.offered_ops;
     const bool is_read = op.type == wl::OpType::kRead ||
                          op.type == wl::OpType::kExist ||
@@ -201,7 +202,6 @@ struct MixDriver {
         shed(ti, op, Status::kShed);
         return;
       case Admission::kDefer:
-        ++result.deferred_ops;
         ++st.result.deferred_ops;
         park(ti, op, now, now + st.admission->slo().deadline());
         // A deferred op still dispatches the moment the window has room
@@ -216,7 +216,6 @@ struct MixDriver {
       dispatch(ti, op, now);
       return;
     }
-    ++result.arrival_overflows;
     ++st.result.arrival_overflows;
     park(ti, op, now, /*deadline=*/0);
   }
@@ -238,14 +237,10 @@ struct MixDriver {
   /// are part of the deterministic result stream).
   void shed(u32 ti, const wl::Op& op, Status s) {
     TenantState& st = tenants[ti];
-    if (s == Status::kShed) {
-      ++result.shed_ops;
+    if (s == Status::kShed)
       ++st.result.shed_ops;
-    } else {
-      ++result.deadline_exceeded_ops;
+    else
       ++st.result.deadline_exceeded_ops;
-    }
-    result.errors.count(s);
     st.result.errors.count(s);
     st.digest += op_digest(op.type, op.key_id, s, 0, 0);
   }
@@ -346,9 +341,6 @@ struct MixDriver {
               u64 bytes, wl::OpType type, u64 key_id, u64 fp) {
     TenantState& st = tenants[ti];
     const TimeNs now = stack.eq().now();
-    (result.*h).record(now - start);
-    result.all.record(now - start);
-    result.bw.add(now - t0, bytes);
     result.telemetry.poll(now);
     (st.result.*h).record(now - start);
     st.result.all.record(now - start);
@@ -359,10 +351,8 @@ struct MixDriver {
       trace->add(TraceRecord{start - t0, now - start, type, key_id,
                              (u32)bytes, s});
     if (s == Status::kNotFound) {
-      ++result.not_found;
       ++st.result.not_found;
     } else if (s != Status::kOk) {
-      result.errors.count(s);
       st.result.errors.count(s);
     }
     if (st.admission) {
@@ -371,14 +361,12 @@ struct MixDriver {
       st.admission->on_completion(now - start);
       if ((s == Status::kOk || s == Status::kNotFound) &&
           now - start <= st.admission->slo().p99_target_ns) {
-        ++result.slo_goodput_ops;
         ++st.result.slo_goodput_ops;
       }
     }
+    ++st.result.ops;
     --st.inflight;
     --inflight;
-    ++completed;
-    ++st.completed;
     issue_more(ti);
   }
 
@@ -407,6 +395,26 @@ nvme::NvmeQueueStats queue_stats_delta(const nvme::NvmeQueueStats& a,
   d.arbitration_stalls = b.arbitration_stalls - a.arbitration_stalls;
   d.max_occupancy = b.max_occupancy;
   return d;
+}
+
+/// Fold one tenant's per-op observables into the combined result `c`.
+/// Only sums merge; backlog_peak does not (the peak of a sum is not the
+/// sum of the peaks), so the driver tracks it on `c` itself.
+void merge_tenant(RunResult& c, const RunResult& t) {
+  for (LatencyHistogram RunResult::*h :
+       {&RunResult::insert, &RunResult::update, &RunResult::read,
+        &RunResult::scan, &RunResult::del, &RunResult::all})
+    (c.*h).merge(t.*h);
+  c.bw.merge(t.bw);
+  c.ops += t.ops;
+  c.not_found += t.not_found;
+  c.errors.merge(t.errors);
+  c.offered_ops += t.offered_ops;
+  c.shed_ops += t.shed_ops;
+  c.deferred_ops += t.deferred_ops;
+  c.deadline_exceeded_ops += t.deadline_exceeded_ops;
+  c.arrival_overflows += t.arrival_overflows;
+  c.slo_goodput_ops += t.slo_goodput_ops;
 }
 
 }  // namespace
@@ -459,7 +467,6 @@ MixResult run_mix(KvStack& stack, const wl::TenantMix& mix,
     }
   }
   drv.result.elapsed = eq.now() - drv.t0;
-  drv.result.ops = drv.completed;
   if (opts.drain_after) {
     bool drained = false;
     stack.drain([&drained] { drained = true; });
@@ -476,8 +483,8 @@ MixResult run_mix(KvStack& stack, const wl::TenantMix& mix,
   for (u32 ti = 0; ti < (u32)drv.tenants.size(); ++ti) {
     TenantState& st = drv.tenants[ti];
     st.result.elapsed = drv.result.elapsed;
-    st.result.ops = st.completed;
     st.result.crashed = drv.result.crashed;
+    merge_tenant(drv.result, st.result);
     TenantResult tr;
     tr.name = st.tspec.name.empty() ? "t" + std::to_string(ti)
                                     : st.tspec.name;

@@ -92,6 +92,16 @@ struct ErrorCounts {
       default: ++other; break;
     }
   }
+  void merge(const ErrorCounts& o) {
+    io += o.io;
+    media += o.media;
+    busy += o.busy;
+    timeout += o.timeout;
+    capacity += o.capacity;
+    other += o.other;
+    shed += o.shed;
+    deadline += o.deadline;
+  }
   [[nodiscard]] u64 total() const {
     return io + media + busy + timeout + capacity + other + shed + deadline;
   }
@@ -99,6 +109,8 @@ struct ErrorCounts {
   [[nodiscard]] bool any_fault() const { return media + busy + timeout > 0; }
 };
 
+/// The observables of one run. From run_mix, a tenant's RunResult holds
+/// only that tenant's ops, and MixResult::combined is the tenants' merge.
 struct RunResult {
   LatencyHistogram insert, update, read, scan, del, all;
   BandwidthTracker bw{100 * kMs};
@@ -123,7 +135,9 @@ struct RunResult {
   u64 arrival_overflows = 0;  ///< admitted arrivals that found the window
                               ///< full and parked (the overload signal)
   u64 slo_goodput_ops = 0;  ///< ok completions within the SLO target
-  u64 backlog_peak = 0;     ///< high-water host backlog (parked arrivals)
+  u64 backlog_peak = 0;     ///< high-water host backlog (parked arrivals);
+                            ///< in MixResult::combined, the peak of the
+                            ///< backlog summed across tenants
 
   /// True when any open-loop counter moved (conditional report emission).
   [[nodiscard]] bool overload_activity() const {
@@ -171,7 +185,11 @@ struct QueueUsage {
 };
 
 /// What run_mix returns: the combined view every single-tenant caller
-/// already consumed, plus the per-tenant and per-queue splits.
+/// already consumed, plus the per-tenant and per-queue splits. Per-op
+/// observables are recorded only in the tenant results; `combined` is
+/// their merge at run end (histograms, bandwidth windows, op, error and
+/// open-loop counters), plus the run-wide fields no tenant sees: elapsed,
+/// telemetry, host CPU and retries, crash state and backlog_peak.
 struct MixResult {
   RunResult combined;
   std::vector<TenantResult> tenants;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <utility>
 
 #include "common/ascii_plot.h"
 #include "common/hash.h"
@@ -221,6 +223,40 @@ TEST(Bandwidth, MinIgnoresTrailingPartialWindow) {
   bw.add(110 * kMs, 2000);
   bw.add(210 * kMs, 1);  // trailing partial
   EXPECT_DOUBLE_EQ(bw.min_bytes_per_sec(), 20000.0);
+}
+
+TEST(Bandwidth, MergeMatchesOneTrackerFedBothStreams) {
+  // Trackers of different lengths: the shorter one's windows add into the
+  // longer one's prefix, and the merged tracker reads exactly like one
+  // tracker that saw every sample.
+  const std::pair<TimeNs, u64> a[] = {
+      {10 * kMs, 1000}, {150 * kMs, 3000}, {420 * kMs, 700}};
+  const std::pair<TimeNs, u64> b[] = {{20 * kMs, 500}, {130 * kMs, 9000}};
+  BandwidthTracker ta(100 * kMs), tb(100 * kMs), all(100 * kMs);
+  for (const auto& [t, bytes] : a) {
+    ta.add(t, bytes);
+    all.add(t, bytes);
+  }
+  for (const auto& [t, bytes] : b) {
+    tb.add(t, bytes);
+    all.add(t, bytes);
+  }
+  ASSERT_NE(ta.num_windows(), tb.num_windows());
+
+  BandwidthTracker short_first = tb;  // grows to the longer length
+  short_first.merge(ta);
+  BandwidthTracker long_first = ta;
+  long_first.merge(tb);
+  for (const BandwidthTracker* m : {&short_first, &long_first}) {
+    EXPECT_EQ(m->raw_windows(), all.raw_windows());
+    EXPECT_DOUBLE_EQ(m->mean_bytes_per_sec(), all.mean_bytes_per_sec());
+    EXPECT_DOUBLE_EQ(m->min_bytes_per_sec(), all.min_bytes_per_sec());
+  }
+  BandwidthTracker empty(100 * kMs);
+  empty.merge(ta);
+  EXPECT_EQ(empty.raw_windows(), ta.raw_windows());
+  EXPECT_DOUBLE_EQ(empty.mean_bytes_per_sec(), ta.mean_bytes_per_sec());
+  EXPECT_THROW(ta.merge(BandwidthTracker(10 * kMs)), std::invalid_argument);
 }
 
 TEST(Table, RendersAlignedColumns) {

@@ -15,8 +15,10 @@
 // weighted queue, and loses that bound when both share one queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "harness/runner.h"
 #include "harness/stacks.h"
@@ -256,6 +258,125 @@ TEST(TenantIsolation, ReDrivesRideTheIssuingTenantsQueue) {
   EXPECT_EQ(r.queues[0].stats.submissions, 0u);
   EXPECT_EQ(r.queues[1].stats.submissions,
             r.tenants[1].result.ops + r.combined.host_retries);
+}
+
+// The combined result is built by merging the tenant results at run end,
+// so every per-op observable in it must equal the merge of the tenants'.
+// The mix covers every path that records: a closed-loop tenant with
+// scans and deletes (not-found completions), a Poisson open-loop tenant
+// whose SLO sheds and whose window overflows into the backlog, and a
+// plain closed-loop tenant at qd 1 that stretches the run over several
+// bandwidth windows.
+using Hist = LatencyHistogram RunResult::*;
+constexpr Hist kHists[] = {&RunResult::insert, &RunResult::update,
+                           &RunResult::read,   &RunResult::scan,
+                           &RunResult::del,    &RunResult::all};
+
+TEST(TenantMerge, CombinedIsTheMergeOfTheTenants) {
+  KvssdBedConfig c;
+  c.dev = tiny_dev();
+  c.nvme.num_queues = 3;
+  c.nvme.queue_weights = {1, 1, 1};
+  KvssdBed bed(c);
+  for (u8 ns = 1; ns <= 3; ++ns) load_tenant(bed, ns, ns - 1u);
+  auto tenant = [](u8 nsid, u64 ops, wl::OpMix mix, u32 qd) {
+    wl::TenantSpec t;
+    t.nsid = nsid;
+    t.queue = nsid - 1u;
+    t.spec.num_ops = ops;
+    t.spec.key_space = kKeys;
+    t.spec.key_bytes = 16;
+    t.spec.value_bytes = 512;
+    t.spec.mix = mix;
+    t.spec.queue_depth = qd;
+    t.spec.seed = 30 + nsid;
+    return t;
+  };
+  wl::TenantMix mix;
+  mix.tenants.push_back(tenant(1, 1500, {0, 0.3, 0.3, 0.2}, 8));
+  wl::TenantSpec open = tenant(2, 1200, {0, 0.4, 0.6, 0}, 16);
+  open.spec.arrival.kind = wl::ArrivalKind::kPoisson;
+  open.spec.arrival.rate_ops_per_sec = 500'000.0;
+  open.spec.arrival.max_inflight = 8;
+  mix.tenants.push_back(open);
+  mix.tenants.push_back(tenant(3, 4000, wl::OpMix::read_only(), 1));
+  RunOptions opts;
+  SloSpec slo;
+  slo.p99_target_ns = 2 * kMs;
+  slo.max_inflight = 24;
+  slo.window = 32;
+  opts.slos = {SloSpec{}, slo};
+  const MixResult m = run_mix(bed, mix, opts);
+  ASSERT_EQ(m.tenants.size(), 3u);
+  const RunResult& c0 = m.combined;
+
+  // The scenario must exercise what it claims to.
+  const RunResult& t0 = m.tenants[0].result;
+  const RunResult& t1 = m.tenants[1].result;
+  EXPECT_GT(t0.scan.count(), 0u);
+  EXPECT_GT(t0.del.count(), 0u);
+  EXPECT_GT(t0.not_found, 0u);
+  EXPECT_GT(t1.shed_ops, 0u);
+  EXPECT_GT(t1.arrival_overflows, 0u);
+  EXPECT_GT(t1.backlog_peak, 0u);
+  EXPECT_GT(c0.bw.num_windows(), 1u);
+
+  RunResult sum;
+  std::vector<u64> windows;  // element-wise sum, built without merge()
+  u64 peak_max = 0, peak_sum = 0, error_total = 0;
+  for (const TenantResult& t : m.tenants) {
+    const RunResult& r = t.result;
+    for (const Hist h : kHists) (sum.*h).merge(r.*h);
+    const std::vector<u64>& tw = r.bw.raw_windows();
+    if (tw.size() > windows.size()) windows.resize(tw.size(), 0);
+    for (size_t i = 0; i < tw.size(); ++i) windows[i] += tw[i];
+    sum.ops += r.ops;
+    sum.not_found += r.not_found;
+    sum.errors.merge(r.errors);
+    error_total += r.errors.total();
+    sum.offered_ops += r.offered_ops;
+    sum.shed_ops += r.shed_ops;
+    sum.deferred_ops += r.deferred_ops;
+    sum.deadline_exceeded_ops += r.deadline_exceeded_ops;
+    sum.arrival_overflows += r.arrival_overflows;
+    sum.slo_goodput_ops += r.slo_goodput_ops;
+    peak_max = std::max(peak_max, r.backlog_peak);
+    peak_sum += r.backlog_peak;
+  }
+
+  for (const Hist h : kHists) {
+    const LatencyHistogram& got = c0.*h;
+    const LatencyHistogram& want = sum.*h;
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.sum(), want.sum());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    EXPECT_EQ(got.nonzero_buckets(), want.nonzero_buckets());
+  }
+  EXPECT_EQ(c0.bw.raw_windows(), windows);
+  EXPECT_EQ(c0.ops, sum.ops);
+  EXPECT_EQ(c0.all.count(), c0.ops);
+  EXPECT_EQ(c0.not_found, sum.not_found);
+  EXPECT_EQ(c0.errors.io, sum.errors.io);
+  EXPECT_EQ(c0.errors.media, sum.errors.media);
+  EXPECT_EQ(c0.errors.busy, sum.errors.busy);
+  EXPECT_EQ(c0.errors.timeout, sum.errors.timeout);
+  EXPECT_EQ(c0.errors.capacity, sum.errors.capacity);
+  EXPECT_EQ(c0.errors.other, sum.errors.other);
+  EXPECT_EQ(c0.errors.shed, sum.errors.shed);
+  EXPECT_EQ(c0.errors.deadline, sum.errors.deadline);
+  EXPECT_EQ(c0.errors.total(), error_total);
+  EXPECT_EQ(c0.errors.shed, c0.shed_ops);
+  EXPECT_EQ(c0.offered_ops, sum.offered_ops);
+  EXPECT_EQ(c0.shed_ops, sum.shed_ops);
+  EXPECT_EQ(c0.deferred_ops, sum.deferred_ops);
+  EXPECT_EQ(c0.deadline_exceeded_ops, sum.deadline_exceeded_ops);
+  EXPECT_EQ(c0.arrival_overflows, sum.arrival_overflows);
+  EXPECT_EQ(c0.slo_goodput_ops, sum.slo_goodput_ops);
+  // The combined peak is the peak of the summed backlog: at least any one
+  // tenant's peak, at most the sum of them.
+  EXPECT_LE(peak_max, c0.backlog_peak);
+  EXPECT_LE(c0.backlog_peak, peak_sum);
 }
 
 }  // namespace
