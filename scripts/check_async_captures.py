@@ -28,7 +28,10 @@ std::make_shared<std::function<...>> chain head. The same leak class
 exists for heap-shared harness::SweepCell task thunks
 (`auto cell = std::make_shared<harness::SweepCell>(); cell->run = [cell]
 {...};`), so make_shared<SweepCell> declarations are chain heads too and
-the `X->run = [...]` / `(*X).run = [...]` spellings are checked.
+the `X->run = [...]` / `(*X).run = [...]` spellings are checked. The
+fan-in latches of sim/latch.h (`auto j = sim::make_latch(n, nullptr);
+j->then = [j] {...};`) are chain heads as well, with the `X->then` and
+`(*X).then` spellings.
 
 Engines:
   * libclang (used automatically when the python bindings and a matching
@@ -159,23 +162,29 @@ def strong_capture_of(capture_list: str, var: str) -> str | None:
 
 # Chain heads: shared std::function (the original idiom), shared
 # sim::Task (the event queue's native callback type schedules sink),
-# shared sim::Fn<Sig> (the move-only callback the stack API uses), or a
+# shared sim::Fn<Sig> (the move-only callback the stack API uses), a
 # shared harness::SweepCell whose `run` thunk can self-capture the same
-# way any other shared callable can.
+# way any other shared callable can, or a sim/latch.h fan-in latch (made
+# by make_shared or by its sim::make_latch / make_status_latch helper)
+# whose `then` continuation can.
+_NS = r"(?:(?:::)?kvsim\s*::\s*)?"
 DECL_RE = re.compile(
-    r"\bauto\s+(\w+)\s*=\s*(?:::)?std\s*::\s*make_shared\s*<\s*"
+    r"\bauto\s+(\w+)\s*=\s*(?:"
+    r"(?:::)?std\s*::\s*make_shared\s*<\s*"
     r"(?:(?:::)?std\s*::\s*function\b"
-    r"|(?:(?:::)?kvsim\s*::\s*)?(?:sim\s*::\s*)?Task\s*>"
-    r"|(?:(?:::)?kvsim\s*::\s*)?(?:sim\s*::\s*)?Fn\s*<"
-    r"|(?:(?:::)?kvsim\s*::\s*)?(?:harness\s*::\s*)?SweepCell\s*>)")
+    r"|" + _NS + r"(?:sim\s*::\s*)?Task\s*>"
+    r"|" + _NS + r"(?:sim\s*::\s*)?Fn\s*<"
+    r"|" + _NS + r"(?:harness\s*::\s*)?SweepCell\s*>"
+    r"|" + _NS + r"(?:sim\s*::\s*)?(?:Status)?Latch\s*>)"
+    r"|" + _NS + r"(?:sim\s*::\s*)?make_(?:status_)?latch\s*\()")
 
 # Assignment shapes that store a lambda into the shared callable slot:
-# the classic `*step = [...]`, plus the SweepCell task-thunk member in
-# both arrow and deref-dot spelling.
+# the classic `*step = [...]`, plus the SweepCell task-thunk member and
+# the latch continuation, each in arrow and deref-dot spelling.
 ASSIGN_RE_TMPLS = (
     r"\*\s*{var}\s*=\s*\[",
-    r"\b{var}\s*->\s*run\s*=\s*\[",
-    r"\(\s*\*\s*{var}\s*\)\s*\.\s*run\s*=\s*\[",
+    r"\b{var}\s*->\s*(?:run|then)\s*=\s*\[",
+    r"\(\s*\*\s*{var}\s*\)\s*\.\s*(?:run|then)\s*=\s*\[",
 )
 
 
@@ -244,7 +253,8 @@ def verify_with_libclang(path: str, findings: list[Finding]) -> list[Finding]:
                     "shared_ptr" in cur.type.spelling and \
                     ("function" in cur.type.spelling or
                      "Task" in cur.type.spelling or
-                     "SweepCell" in cur.type.spelling):
+                     "SweepCell" in cur.type.spelling or
+                     "Latch" in cur.type.spelling):
                 shared_ptr_vars.add(cur.spelling)
         return [f for f in findings if f.var in shared_ptr_vars]
     except Exception:

@@ -46,7 +46,7 @@ FAST=0
 for arg in "$@"; do
   case "$arg" in
     --fast) FAST=1 ;;
-    -h|--help) sed -n '2,15p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,/^[^#]/{/^#/p}' "$0"; exit 0 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done

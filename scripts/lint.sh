@@ -27,7 +27,7 @@ for arg in "$@"; do
   case "$arg" in
     --format) CHECK_FORMAT=1 ;;
     --tidy-only) TIDY_ONLY=1 ;;
-    -h|--help) sed -n '2,15p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,/^[^#]/{/^#/p}' "$0"; exit 0 ;;
     *) BUILD_DIR="$arg" ;;
   esac
 done

@@ -20,7 +20,7 @@ BUILD_DIR=
 for arg in "$@"; do
   case "$arg" in
     --tsan) MODE=tsan ;;
-    -h|--help) sed -n '2,14p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,/^[^#]/{/^#/p}' "$0"; exit 0 ;;
     *) BUILD_DIR="$arg" ;;
   esac
 done

@@ -7,40 +7,9 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "sim/latch.h"
+
 namespace kvsim::blockftl {
-
-namespace {
-/// Countdown latch: runs `then` after `remaining` arrivals.
-struct Join {
-  int remaining;
-  sim::Task then;
-  void arrive() {
-    if (--remaining == 0) then();
-  }
-};
-using JoinPtr = std::shared_ptr<Join>;
-JoinPtr make_join(int n, sim::Task then) {
-  return std::make_shared<Join>(Join{n, std::move(then)});
-}
-
-/// Countdown latch that also accumulates the worst Status seen by its
-/// arrivals (first failure wins; later ones would overwrite recovery
-/// detail with no extra information).
-struct ReadJoin {
-  int remaining;
-  Status st = Status::kOk;
-  sim::Fn<void(Status)> then;
-  void fail(Status s) {
-    if (st == Status::kOk) st = s;
-  }
-  void arrive() {
-    if (--remaining == 0) then(st);
-  }
-};
-std::shared_ptr<ReadJoin> make_read_join(int n, sim::Fn<void(Status)> then) {
-  return std::make_shared<ReadJoin>(ReadJoin{n, Status::kOk, std::move(then)});
-}
-}  // namespace
 
 namespace {
 void validate_block_cfg(const ssd::SsdConfig& dev,
@@ -61,10 +30,8 @@ BlockFtl::BlockFtl(sim::EventQueue& eq, flash::FlashController& flash,
       flash_(flash),
       geom_(dev.geometry),
       cfg_(cfg),
-      alloc_(dev.geometry),
-      buffer_(eq, dev.write_buffer_bytes),
-      gc_reserved_blocks_(dev.gc_reserved_blocks),
-      gc_low_watermark_(dev.gc_low_watermark_blocks),
+      log_(eq, flash, dev, stats_,
+           [this](flash::PageId p) { on_program_fail(p); }),
       dispatch_ns_(dev.firmware_dispatch_ns) {
   validate_block_cfg(dev, cfg_);
   const u64 total_slots = geom_.total_pages() * slots_per_page();
@@ -73,38 +40,18 @@ BlockFtl::BlockFtl(sim::EventQueue& eq, flash::FlashController& flash,
   map_.assign(total_slots_exported_, kUnmapped);
   rmap_.assign(total_slots, kUnmapped);
   content_.assign(total_slots, 0);
-  valid_count_.assign(geom_.total_blocks(), 0);
-  block_state_.assign(geom_.total_blocks(), kFree);
-  buffered_count_.assign(geom_.total_blocks(), 0);
   wps_.resize(cfg_.write_points);
   if (cfg_.crash_tracking) flash_.set_crash_tracking(true);
 #if KVSIM_AUDIT
-  flash_audit_ = std::make_unique<ssd::FlashAudit>(geom_);
-  flash_.set_audit(flash_audit_.get());
   map_audit_ = std::make_unique<ssd::SlotMapAudit>(
       geom_.total_blocks(), geom_.pages_per_block * slots_per_page());
 #endif
 }
 
-BlockFtl::~BlockFtl() {
-  if (flash_audit_ && flash_.audit() == flash_audit_.get())
-    flash_.set_audit(nullptr);
-  if (faults_ && flash_.faults() == faults_.get()) flash_.set_faults(nullptr);
-}
-
-void BlockFtl::set_fault_plan(const ssd::FaultPlan& plan) {
-  plan.validate();
-  if (faults_ && flash_.faults() == faults_.get()) flash_.set_faults(nullptr);
-  faults_.reset();
-  if (!plan.enabled) return;
-  faults_ = std::make_unique<ssd::FaultInjector>(plan, geom_, eq_);
-  flash_.set_faults(faults_.get());
-}
-
 void BlockFtl::audit_verify() const {
   if (!map_audit_) return;
   ssd::audit_check_clamps(eq_.clamped_schedules());
-  map_audit_->verify(map_, kUnmapped, valid_count_, live_slots_);
+  map_audit_->verify(map_, kUnmapped, log_.valid_units(), live_slots_);
 }
 
 // ---------------------------------------------------------------------------
@@ -112,7 +59,7 @@ void BlockFtl::audit_verify() const {
 // ---------------------------------------------------------------------------
 
 void BlockFtl::write(Lba lba, u32 bytes, u64 fp_base, Done done) {
-  if (busy_rejected(done)) return;
+  if (log_.busy_rejected(dispatch_ns_, done)) return;
   const u64 lp = cfg_.logical_page_bytes;
   const u64 start = lba * 512, end = start + bytes;
   if (bytes == 0 || (end + lp - 1) / lp > map_.size()) {
@@ -134,7 +81,7 @@ void BlockFtl::write(Lba lba, u32 bytes, u64 fp_base, Done done) {
   auto need_rmw = [&](u64 lpn) {
     if (map_[lpn] == kUnmapped) return;
     const flash::PageId p = map_[lpn] / slots_per_page();
-    if (!cache_contains(p) && !buffered_pages_.count(p)) rmw_pages.insert(p);
+    if (!cache_contains(p) && !log_.buffered(p)) rmw_pages.insert(p);
   };
   if (start % lp != 0) need_rmw(first);
   if (end % lp != 0) need_rmw(last);
@@ -146,13 +93,13 @@ void BlockFtl::write(Lba lba, u32 bytes, u64 fp_base, Done done) {
   const TimeNs cpu_done =
       ftl_core_.reserve(eq_.now(), dispatch_ns_ + (TimeNs)n * per_slot);
 
-  auto join = make_join(
+  auto join = sim::make_latch(
       2, [this, first, n, fp_base, seq, done = std::move(done)]() mutable {
         for (u32 i = 0; i < n; ++i)
           write_slot(first + i, mix64(fp_base + i), seq);
         done(Status::kOk);
       });
-  buffer_.acquire((u64)n * lp, [join] { join->arrive(); });
+  log_.buffer().acquire((u64)n * lp, [join] { join->arrive(); });
   eq_.schedule_at(cpu_done, [join] { join->arrive(); });
   // Sub-slot merges read the old page in the background (the write acks
   // from the buffer; the read still occupies the die before the merged
@@ -200,12 +147,9 @@ bool BlockFtl::append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq,
   if (map_audit_) map_audit_->on_map(lpn, gsi);
   if (cfg_.crash_tracking)
     wp.staged.push_back(flash::OobEntry{lpn, fp, slot, ++write_seq_});
-  ++valid_count_[*wp.block];
+  ++log_.valid(*wp.block);
   ++live_slots_;
-  if (wp.pending.empty()) {
-    buffered_pages_.insert(page);
-    ++buffered_count_[*wp.block];
-  }
+  if (wp.pending.empty()) log_.buffer_page(page);
   wp.pending.push_back(lpn);
   wp.all_seq = wp.all_seq && seq;
   if (wp.pending.size() == slots_per_page()) {
@@ -218,13 +162,10 @@ bool BlockFtl::append_slot(WritePoint& wp, u64 lpn, u64 fp, bool seq,
 
 bool BlockFtl::ensure_block(WritePoint& wp, bool is_gc) {
   if (wp.block) return true;
-  if (!is_gc && alloc_.free_blocks() <= gc_reserved_blocks_) return false;
-  auto b = alloc_.allocate();
-  if (!b) return false;
-  wp.block = *b;
+  wp.block = log_.open_block(is_gc);
+  if (!wp.block) return false;
   wp.next_page = 0;
   wp.last_issue_at = 0;
-  block_state_[*b] = kOpen;
   if (!is_gc) maybe_start_gc();
   return true;
 }
@@ -241,28 +182,14 @@ void BlockFtl::seal_page(WritePoint& wp, bool is_gc) {
   wp.all_seq = true;
   ++wp.last_flush_arm;  // cancel any pending flush timer
   if (++wp.next_page == geom_.pages_per_block) {
-    block_state_[*wp.block] = kSealed;
+    log_.seal(*wp.block);
     wp.block.reset();
   }
 
-  stats_.flash_bytes_written += geom_.page_bytes;
-  ++outstanding_programs_;
-  auto issue = [this, page, real_slots, is_gc] {
-    flash_.program_page(page, geom_.page_bytes, [this, page, real_slots,
-                                                 is_gc](flash::OpStatus st) {
-      buffered_pages_.erase(page);
-      --buffered_count_[page / geom_.pages_per_block];
-      if (!is_gc)
-        buffer_.release((u64)real_slots * cfg_.logical_page_bytes);
-      // Recovery before the drain check: re-driven slots may issue new
-      // programs that a flush() waiter must still wait for.
-      if (st == flash::OpStatus::kProgramFail) on_program_fail(page);
-      if (--outstanding_programs_ == 0 && !drain_waiters_.empty()) {
-        auto waiters = std::move(drain_waiters_);
-        drain_waiters_.clear();
-        for (auto& w : waiters) w();
-      }
-    });
+  log_.begin_program();
+  const u64 host_bytes = (u64)real_slots * cfg_.logical_page_bytes;
+  auto issue = [this, page, host_bytes, is_gc] {
+    log_.program(page, host_bytes, is_gc);
   };
   // Random-write coalescing: the FTL core spends time rearranging the
   // page before it is dispatched (the paper's "block-SSD holds data in
@@ -293,7 +220,7 @@ void BlockFtl::invalidate(u64 lpn, bool fresh_garbage) {
   if (map_audit_) map_audit_->on_unmap(lpn, old);
   map_[lpn] = kUnmapped;
   rmap_[old] = kUnmapped;
-  --valid_count_[old / slots_per_page() / geom_.pages_per_block];
+  --log_.valid(old / slots_per_page() / geom_.pages_per_block);
   --live_slots_;
   if (fresh_garbage) {  // GC can make progress again
     gc_stuck_ = false;
@@ -306,7 +233,7 @@ void BlockFtl::invalidate(u64 lpn, bool fresh_garbage) {
 // ---------------------------------------------------------------------------
 
 void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
-  if (busy_rejected_read(done)) return;
+  if (log_.busy_rejected(dispatch_ns_, done, u64{0})) return;
   const u64 lp = cfg_.logical_page_bytes;
   const u64 start = lba * 512, end = start + bytes;
   if (bytes == 0 || (end + lp - 1) / lp > map_.size()) {
@@ -332,7 +259,7 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
     fp ^= content_[gsi];
     const flash::PageId p = gsi / slots_per_page();
     ++cache_lookups_;
-    if (cache_contains(p) || buffered_pages_.count(p)) {
+    if (cache_contains(p) || log_.buffered(p)) {
       ++cache_hits_;
       cpu += cfg_.cache_hit_ns;
       touch_cache(p);
@@ -348,7 +275,7 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
   reads.reserve(miss_pages.size());
   for (auto [p, b] : miss_pages) reads.push_back(flash::PageRead{p, b});
 
-  auto join = make_read_join(
+  auto join = sim::make_status_latch(
       (reads.empty() ? 0 : 1) + 1,
       [fp, done = std::move(done)](Status st) mutable { done(st, fp); });
   eq_.schedule_at(cpu_done, [join] { join->arrive(); });
@@ -361,14 +288,15 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
         [this, join, fetched = std::move(fetched)](flash::OpStatus st,
                                                    flash::PageId bad) {
           for (flash::PageId p : fetched) cache_insert(p);
+          Status s = Status::kOk;
           if (st == flash::OpStatus::kUncorrectable) {
-            join->fail(Status::kMediaError);
+            s = Status::kMediaError;
             on_read_media_error(bad);
           } else if (st == flash::OpStatus::kTimeout) {
-            join->fail(Status::kTimeout);
+            s = Status::kTimeout;
             ++stats_.op_timeouts;
           }
-          join->arrive();
+          join->arrive(s);
         });
   }
 
@@ -402,7 +330,7 @@ void BlockFtl::cache_insert(flash::PageId p) {
 void BlockFtl::maybe_readahead(u64 next_lpn) {
   if (next_lpn >= map_.size() || map_[next_lpn] == kUnmapped) return;
   const flash::PageId p = map_[next_lpn] / slots_per_page();
-  if (cache_contains(p) || buffered_pages_.count(p)) return;
+  if (cache_contains(p) || log_.buffered(p)) return;
   cache_insert(p);  // reserve the slot up-front so we don't double-fetch
   flash_.read_page(p, geom_.page_bytes, [] {});
 }
@@ -412,7 +340,7 @@ void BlockFtl::maybe_readahead(u64 next_lpn) {
 // ---------------------------------------------------------------------------
 
 void BlockFtl::trim(Lba lba, u64 bytes, Done done) {
-  if (busy_rejected(done)) return;
+  if (log_.busy_rejected(dispatch_ns_, done)) return;
   const u64 lp = cfg_.logical_page_bytes;
   const u64 start = lba * 512, end = start + bytes;
   const u64 first = (start + lp - 1) / lp;        // first fully-covered slot
@@ -429,11 +357,7 @@ void BlockFtl::flush(sim::Task done) {
   for (auto& wp : wps_)
     if (!wp.pending.empty()) seal_page(wp, false);
   if (!gc_wp_.pending.empty()) seal_page(gc_wp_, true);
-  if (outstanding_programs_ == 0) {
-    eq_.schedule_after(0, std::move(done));
-  } else {
-    drain_waiters_.push_back(std::move(done));
-  }
+  log_.drain(std::move(done));
 }
 
 // ---------------------------------------------------------------------------
@@ -441,57 +365,39 @@ void BlockFtl::flush(sim::Task done) {
 // ---------------------------------------------------------------------------
 
 void BlockFtl::maybe_start_gc() {
-  if (!gc_running_ && !gc_stuck_ &&
-      alloc_.free_blocks() < gc_low_watermark_)
+  if (!gc_running_ && !gc_stuck_ && log_.below_watermark()) run_gc();
+}
+
+void BlockFtl::continue_gc() {
+  if (log_.below_watermark()) {
     run_gc();
+  } else {
+    gc_running_ = false;
+    audit_verify();
+  }
 }
 
 void BlockFtl::run_gc() {
   gc_running_ = true;
   ++stats_.gc_runs;
+  const ssd::BlockLog::Victims v = log_.pick_victims();
   // Fast path: erase all fully-invalid (e.g. TRIMmed) victims in one
   // parallel wave across their dies — this is how an LSM's whole-file
   // deletes keep device GC effectively free (Fig. 6a).
-  std::vector<flash::BlockId> free_wins;
-  flash::BlockId victim = kUnmapped;
-  u32 best = ~0u;
-  for (flash::BlockId b = 0; b < geom_.total_blocks(); ++b) {
-    if (block_state_[b] != kSealed || buffered_count_[b] != 0) continue;
-    if (valid_count_[b] == 0 && free_wins.size() < 32) free_wins.push_back(b);
-    if (valid_count_[b] < best) {
-      best = valid_count_[b];
-      victim = b;
-    }
-  }
-  if (free_wins.size() > 1) {
-    auto join = make_join((int)free_wins.size(), [this] {
+  if (v.free_wins.size() > 1) {
+    log_.erase_wave(v.free_wins, [this] {
       on_block_freed();
-      if (alloc_.free_blocks() < gc_low_watermark_) {
-        run_gc();
-      } else {
-        gc_running_ = false;
-        audit_verify();
-      }
+      continue_gc();
     });
-    for (flash::BlockId b : free_wins) {
-      block_state_[b] = kErasing;
-      flash_.erase_block(b, [this, b, join](flash::OpStatus st) {
-        if (st == flash::OpStatus::kEraseFail) {
-          retire_erase_failed(b);
-        } else {
-          block_state_[b] = kFree;
-          alloc_.release(b);
-        }
-        join->arrive();
-      });
-    }
     return;
   }
-  if (victim == kUnmapped) {
+  if (v.victim == ssd::BlockLog::kNoBlock) {
     gc_running_ = false;
     audit_verify();
     return;
   }
+  const flash::BlockId victim = v.victim;
+  const u32 best = v.valid;
   // Futility: the best victim is (nearly) fully valid, so a cycle would
   // rewrite a whole block to free a whole block.
   const u32 block_slots = geom_.pages_per_block * slots_per_page();
@@ -541,23 +447,11 @@ void BlockFtl::migrate_and_erase(flash::BlockId victim) {
 }
 
 void BlockFtl::finish_gc(flash::BlockId victim) {
-  block_state_[victim] = kErasing;
-  flash_.erase_block(victim, [this, victim](flash::OpStatus st) {
-    if (st == flash::OpStatus::kEraseFail) {
-      // The victim is already fully migrated; it retires empty and GC
-      // keeps hunting for a healthy victim.
-      retire_erase_failed(victim);
-    } else {
-      block_state_[victim] = kFree;
-      alloc_.release(victim);
-      on_block_freed();
-    }
-    if (alloc_.free_blocks() < gc_low_watermark_) {
-      run_gc();
-    } else {
-      gc_running_ = false;
-      audit_verify();
-    }
+  log_.erase(victim, [this](bool freed) {
+    // A failed erase retires the already-migrated victim empty, and GC
+    // keeps hunting for a healthy one.
+    if (freed) on_block_freed();
+    continue_gc();
   });
 }
 
@@ -599,8 +493,10 @@ void BlockFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
 
   // Cut power at the media: in-flight programs tear (their OOB vanishes),
   // die/channel pipelines drain, and the serialized firmware CPU resets.
-  const std::vector<flash::PageId> torn = flash_.power_loss(cut);
-  out.torn_pages = torn.size();
+  // The block log drops its volatile state and rebuilds block states:
+  // a torn page poisons the rest of its block until GC erases it.
+  const ssd::BlockLog::Survivors surv = log_.power_cut(cut);
+  out.torn_pages = surv.torn.size();
   ftl_core_.power_cycle(cut);
 
   // Everything DRAM-resident is gone: write buffer, open write points,
@@ -610,10 +506,6 @@ void BlockFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   gc_wp_ = WritePoint{};
   wp_rr_ = 0;
   seq_wp_ = 0;
-  buffered_pages_.clear();
-  std::fill(buffered_count_.begin(), buffered_count_.end(), 0);
-  outstanding_programs_ = 0;
-  drain_waiters_.clear();
   recovery_starved_.clear();
   cache_lru_.clear();
   cache_map_.clear();
@@ -624,11 +516,9 @@ void BlockFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   write_streak_ = 0;
   last_read_lpn_ = ~0ull - 1;
   read_streak_ = 0;
-  buffer_.reset();
   std::fill(map_.begin(), map_.end(), kUnmapped);
   std::fill(rmap_.begin(), rmap_.end(), kUnmapped);
   std::fill(content_.begin(), content_.end(), 0);
-  std::fill(valid_count_.begin(), valid_count_.end(), 0);
   live_slots_ = 0;
 
   // Rebuild the map from committed OOB. Pages are walked in epoch order
@@ -636,13 +526,9 @@ void BlockFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   // per-entry write sequence picks a slot's newest durable copy — program
   // completions interleave across write points, so program order alone
   // would resurrect stale data.
-  std::vector<std::pair<u64, flash::PageId>> pages;  // (epoch, page)
-  for (const auto& [p, oob] : flash_.committed_oob())
-    pages.emplace_back(oob.epoch, p);
-  std::sort(pages.begin(), pages.end());
   std::unordered_map<u64, u64> best_seq;  // lpn -> winning write sequence
   const u32 spp = slots_per_page();
-  for (const auto& [epoch, p] : pages) {
+  for (const auto& [epoch, p] : surv.pages) {
     const auto& oob = flash_.committed_oob().at(p);
     for (const auto& e : oob.entries) {
       const u64 lpn = e.tag;
@@ -652,40 +538,20 @@ void BlockFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
       if (map_[lpn] != kUnmapped) {  // older copy loses; its slot is waste
         const u64 old = map_[lpn];
         rmap_[old] = kUnmapped;
-        --valid_count_[old / spp / geom_.pages_per_block];
+        --log_.valid(old / spp / geom_.pages_per_block);
         --live_slots_;
       }
       best_seq[lpn] = e.b;
       map_[lpn] = gsi;
       rmap_[gsi] = lpn;
       content_[gsi] = e.fp;
-      ++valid_count_[gsi / spp / geom_.pages_per_block];
+      ++log_.valid(gsi / spp / geom_.pages_per_block);
       ++live_slots_;
     }
   }
   out.recovered_slots = live_slots_;
   for (const auto& [lpn, fp] : pre)
     if (map_[lpn] == kUnmapped || content_[map_[lpn]] != fp) ++out.lost_slots;
-
-  // Block states: grown-bad blocks persist (the bad-block table is modeled
-  // durable). Any block holding committed or torn pages is sealed — open
-  // write points are never resumed across a power cycle, and a torn page
-  // poisons the rest of its block until GC erases it. Everything else is
-  // free; erase counts are physical wear and survive.
-  std::vector<u8> has_data(geom_.total_blocks(), 0);
-  for (const auto& [epoch, p] : pages) has_data[geom_.block_of_page(p)] = 1;
-  for (flash::PageId p : torn) has_data[geom_.block_of_page(p)] = 1;
-  std::vector<flash::BlockId> free_list;
-  for (flash::BlockId b = 0; b < geom_.total_blocks(); ++b) {
-    if (block_state_[b] == kBad) continue;
-    if (has_data[b]) {
-      block_state_[b] = kSealed;
-    } else {
-      block_state_[b] = kFree;
-      free_list.push_back(b);
-    }
-  }
-  alloc_.reset_free(free_list);
 
 #if KVSIM_AUDIT
   // The slot-map shadow is firmware DRAM state: it died with the power and
@@ -700,23 +566,10 @@ void BlockFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   // Charge the mount: one small OOB read per page that holds (or tore)
   // data, batched per die like the normal read path, plus firmware time to
   // replay the map. `done` runs when both complete.
-  std::vector<flash::PageRead> scan;
-  scan.reserve(pages.size() + torn.size());
-  for (const auto& [epoch, p] : pages)
-    scan.push_back(flash::PageRead{p, cfg_.oob_read_bytes});
-  for (flash::PageId p : torn)
-    scan.push_back(flash::PageRead{p, cfg_.oob_read_bytes});
-  std::sort(scan.begin(), scan.end(),
-            [](const flash::PageRead& a, const flash::PageRead& b) {
-              return a.page < b.page;
-            });
-  out.rebuild_pages_read = scan.size();
   const TimeNs cpu_done = ftl_core_.reserve(
       eq_.now(), dispatch_ns_ + out.recovered_slots * cfg_.map_update_seq_ns);
-  auto join = make_join((scan.empty() ? 0 : 1) + 1, std::move(done));
-  eq_.schedule_at(cpu_done, [join] { join->arrive(); });
-  if (!scan.empty())
-    flash_.read_multi(scan.data(), (u32)scan.size(), [join] { join->arrive(); });
+  out.rebuild_pages_read =
+      log_.mount_scan(surv, cfg_.oob_read_bytes, cpu_done, std::move(done));
 }
 
 u64 BlockFtl::probe_total_slots(Lba lba, u32 bytes) const {
@@ -743,24 +596,6 @@ u64 BlockFtl::probe_durable_slots(Lba lba, u32 bytes, u64 fp_base) const {
 // ---------------------------------------------------------------------------
 // Fault recovery
 // ---------------------------------------------------------------------------
-
-bool BlockFtl::busy_rejected(Done& done) {
-  if (!faults_ || !faults_->host_busy()) return false;
-  ++stats_.busy_rejections;
-  eq_.schedule_after(dispatch_ns_, [done = std::move(done)]() mutable {
-    done(Status::kDeviceBusy);
-  });
-  return true;
-}
-
-bool BlockFtl::busy_rejected_read(ReadDone& done) {
-  if (!faults_ || !faults_->host_busy()) return false;
-  ++stats_.busy_rejections;
-  eq_.schedule_after(dispatch_ns_, [done = std::move(done)]() mutable {
-    done(Status::kDeviceBusy, 0);
-  });
-  return true;
-}
 
 void BlockFtl::relocate_page_slots(flash::PageId p) {
   for (u32 s = 0; s < slots_per_page(); ++s) {
@@ -799,18 +634,15 @@ void BlockFtl::on_program_fail(flash::PageId page) {
 }
 
 void BlockFtl::retire_block(flash::BlockId b) {
-  if (block_state_[b] == kBad) return;
+  // Dead capacity from here on: remaining sealed pages stay readable
+  // until their slots are invalidated.
+  if (!log_.retire(b)) return;
   for (auto& wp : wps_) close_write_point(wp, b);
   close_write_point(gc_wp_, b);
-  block_state_[b] = kBad;
-  ++stats_.grown_bad_blocks;
-  // Not released to the allocator: the block is dead capacity. Remaining
-  // sealed pages stay readable until their slots are invalidated.
 }
 
 void BlockFtl::close_write_point(WritePoint& wp, flash::BlockId b) {
   if (!wp.block || *wp.block != b) return;
-  const bool is_gc_wp = (&wp == &gc_wp_);
   const flash::PageId open_page = geom_.page_id(b, wp.next_page);
   const u32 npend = (u32)wp.pending.size();
   std::vector<Starved> pend;
@@ -824,14 +656,11 @@ void BlockFtl::close_write_point(WritePoint& wp, flash::BlockId b) {
     // close, or a later read would touch unwritten flash.
     invalidate(lpn, /*fresh_garbage=*/false);
   }
-  if (npend > 0) {
-    buffered_pages_.erase(open_page);
-    --buffered_count_[b];
-    // Host slots of the aborted page free their buffer space here; the
-    // re-driven copies ride the recovery path, which never re-acquires.
-    if (!is_gc_wp)
-      buffer_.release((u64)npend * cfg_.logical_page_bytes);
-  }
+  // Host slots of the aborted page free their buffer space here; the
+  // re-driven copies ride the recovery path, which never re-acquires.
+  if (npend > 0)
+    log_.drop_page(open_page, (u64)npend * cfg_.logical_page_bytes,
+                   /*is_gc=*/&wp == &gc_wp_);
   wp.pending.clear();
   wp.all_seq = true;
   wp.staged.clear();  // the open page will never program
@@ -840,12 +669,6 @@ void BlockFtl::close_write_point(WritePoint& wp, flash::BlockId b) {
   for (const Starved& s : pend)
     if (!append_slot(gc_wp_, s.lpn, s.fp, false, /*is_gc=*/true))
       recovery_starved_.push_back(s);
-}
-
-void BlockFtl::retire_erase_failed(flash::BlockId b) {
-  ++stats_.erase_failures;
-  ++stats_.grown_bad_blocks;
-  block_state_[b] = kBad;  // never released: dead capacity
 }
 
 }  // namespace kvsim::blockftl

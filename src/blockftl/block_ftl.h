@@ -24,18 +24,15 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "flash/controller.h"
 #include "sim/event_queue.h"
 #include "sim/task.h"
-#include "ssd/allocator.h"
 #include "ssd/audit.h"
+#include "ssd/block_log.h"
 #include "ssd/config.h"
-#include "ssd/fault.h"
 #include "ssd/stats.h"
-#include "ssd/write_buffer.h"
 
 #include "common/thread_annotations.h"
 
@@ -80,7 +77,6 @@ class BlockFtl {
 
   BlockFtl(sim::EventQueue& eq, flash::FlashController& flash,
            const ssd::SsdConfig& dev, const BlockFtlConfig& cfg);
-  ~BlockFtl();
 
   /// Write `bytes` at sector address `lba`. `fp_base` seeds the stored
   /// per-slot fingerprints (slot i of the request stores mix64(fp_base + i)).
@@ -108,14 +104,18 @@ class BlockFtl {
   }
 
   [[nodiscard]] const ssd::FtlStats& stats() const { return stats_; }
-  [[nodiscard]] u64 free_blocks() const { return alloc_.free_blocks(); }
+  [[nodiscard]] u64 free_blocks() const {
+    return log_.allocator().free_blocks();
+  }
   [[nodiscard]] u64 cache_hits() const { return cache_hits_; }
   [[nodiscard]] u64 cache_lookups() const { return cache_lookups_; }
   [[nodiscard]] u64 buffer_stalls() const {
-    return buffer_.total_stall_events();
+    return log_.buffer().total_stall_events();
   }
   /// Wear telemetry (erase counts live in the allocator).
-  [[nodiscard]] const ssd::BlockAllocator& allocator() const { return alloc_; }
+  [[nodiscard]] const ssd::BlockAllocator& allocator() const {
+    return log_.allocator();
+  }
 
   /// KVSIM_AUDIT: cross-check the slot map, valid counters, and event
   /// clamps against the shadow ground truth. No-op when auditing is
@@ -154,19 +154,18 @@ class BlockFtl {
   /// Arm (plan.enabled) or disarm fault injection. Disarmed, no injector
   /// exists and the flash hot path is exactly the pre-fault one. Arming
   /// mid-run is allowed; the injector's wear clock starts at zero.
-  void set_fault_plan(const ssd::FaultPlan& plan);
+  void set_fault_plan(const ssd::FaultPlan& plan) {
+    log_.set_fault_plan(plan);
+  }
   /// The active injector, or nullptr when faults are disarmed.
   [[nodiscard]] const ssd::FaultInjector* fault_injector() const {
-    return faults_.get();
+    return log_.faults();
   }
 
  private:
+  friend struct ssd::BlockLogAccess;
+
   static constexpr u64 kUnmapped = ~0ull;
-  /// kBad: a grown bad block — retired after a program/erase failure.
-  /// Never erased, never re-allocated, skipped by GC; any still-valid
-  /// slots on it stay readable (dead capacity until they are invalidated
-  /// or relocated by media recovery).
-  enum BlockState : u8 { kFree = 0, kOpen, kSealed, kErasing, kBad };
 
   struct Starved {
     u64 lpn;
@@ -214,15 +213,13 @@ class BlockFtl {
   // --- garbage collection ---
   void maybe_start_gc();
   void run_gc();
+  /// Collect again while below the low watermark, else stop.
+  void continue_gc();
   void migrate_and_erase(flash::BlockId victim);
   void finish_gc(flash::BlockId victim);
   void on_block_freed();
 
   // --- fault recovery ---
-  /// True (and the command was answered kDeviceBusy) when the front end
-  /// is inside a stall-induced busy window.
-  bool busy_rejected(Done& done);
-  bool busy_rejected_read(ReadDone& done);
   /// Remap every live slot of page `p` onto a fresh block (media scrub /
   /// failed-program re-drive). Slots that find no block wait in
   /// recovery_starved_.
@@ -233,17 +230,14 @@ class BlockFtl {
   /// filling it (its buffered slots re-route through the write path).
   void retire_block(flash::BlockId b);
   void close_write_point(WritePoint& wp, flash::BlockId b);
-  void retire_erase_failed(flash::BlockId b);
 
   sim::EventQueue& eq_;
   flash::FlashController& flash_;
   flash::FlashGeometry geom_;
   BlockFtlConfig cfg_;
-  ssd::BlockAllocator alloc_;
-  ssd::WriteBuffer buffer_;
+  ssd::FtlStats stats_;
+  ssd::BlockLog log_;
   sim::Resource ftl_core_;  // serialized firmware CPU
-  u32 gc_reserved_blocks_;
-  u32 gc_low_watermark_;
   TimeNs dispatch_ns_;
 
   u64 total_slots_exported_ = 0;
@@ -252,17 +246,10 @@ class BlockFtl {
   std::vector<u64> map_;          // lpn -> global slot index (or kUnmapped)
   std::vector<u64> rmap_;         // global slot index -> lpn (or kUnmapped)
   std::vector<u64> content_;      // global slot index -> fingerprint
-  std::vector<u32> valid_count_;  // per block: live slots
-  std::vector<u8> block_state_;   // per block: BlockState
 
   std::vector<WritePoint> wps_;
   u32 wp_rr_ = 0;
   u32 seq_wp_ = 0;  // current write point for sequential streams
-  std::unordered_set<flash::PageId> buffered_pages_;
-  // Per block: pages buffered or with an in-flight program. GC must not
-  // pick a victim before its last program lands (the reorg timer can
-  // delay a program past the block's kSealed transition).
-  std::vector<u32> buffered_count_;
 
   // sequential stream detection
   u64 last_write_end_ = ~0ull;
@@ -286,25 +273,16 @@ class BlockFtl {
   u32 gc_futile_streak_ = 0;
   WritePoint gc_wp_;
 
-  // flush/drain bookkeeping
-  u64 outstanding_programs_ = 0;
-  std::vector<sim::Task> drain_waiters_;
-
   // Crash tracking: monotonic host-order stamp carried in each OOB entry.
   // Programs complete out of host order across write points, so the mount
   // rebuild needs this, not program order, to pick a slot's newest copy.
   u64 write_seq_ = 0;
 
-  // Fault injection (null unless a plan is armed) and slots whose
-  // recovery re-placement is waiting for a free block.
-  std::unique_ptr<ssd::FaultInjector> faults_;
+  // Slots whose recovery re-placement is waiting for a free block.
   std::deque<Starved> recovery_starved_;
 
-  // KVSIM_AUDIT shadow models (null when auditing is compiled out)
-  std::unique_ptr<ssd::FlashAudit> flash_audit_;
+  // KVSIM_AUDIT shadow model (null when auditing is compiled out)
   std::unique_ptr<ssd::SlotMapAudit> map_audit_;
-
-  ssd::FtlStats stats_;
 };
 
 }  // namespace kvsim::blockftl

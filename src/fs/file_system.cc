@@ -3,27 +3,9 @@
 #include <algorithm>
 #include <memory>
 
-namespace kvsim::fs {
+#include "sim/latch.h"
 
-namespace {
-// Status-accumulating join: completes with the first non-Ok status seen
-// (device faults propagate; later arrivals can't clear an earlier error).
-struct Join {
-  int remaining;
-  Status st = Status::kOk;
-  sim::Fn<void(Status)> then;
-  void arrive(Status s = Status::kOk) {
-    if (s != Status::kOk && st == Status::kOk) st = s;
-    if (--remaining == 0) then(st);
-  }
-};
-std::shared_ptr<Join> make_join(int n, sim::Fn<void(Status)> then) {
-  auto j = std::make_shared<Join>();
-  j->remaining = n;
-  j->then = std::move(then);
-  return j;
-}
-}  // namespace
+namespace kvsim::fs {
 
 FileSystem::FileSystem(sim::EventQueue& eq, blockapi::BlockDevice& dev,
                        const FsConfig& cfg)
@@ -157,7 +139,7 @@ void FileSystem::append(Handle h, u64 bytes, u64 fp_base, Done done) {
     }
   }
 
-  auto join = make_join(
+  auto join = sim::make_status_latch(
       (int)fresh.size() + 1,
       [done = std::move(done)](Status s) mutable { done(s); });
   u64 fp = fp_base;
@@ -215,10 +197,9 @@ void FileSystem::read_blocks(Handle h, u64 first_block, u64 blocks,
     return;
   }
   auto fps = std::make_shared<u64>(0);
-  auto join = make_join((int)pieces.size(),
-                        [fps, done = std::move(done)](Status s) mutable {
-                          done(s, *fps);
-                        });
+  auto join = sim::make_status_latch(
+      (int)pieces.size(),
+      [fps, done = std::move(done)](Status s) mutable { done(s, *fps); });
   for (const Piece& p : pieces)
     dev_.read(p.lba, p.bytes, [fps, join](Status s, u64 fp) {
       *fps ^= fp;
@@ -259,7 +240,7 @@ void FileSystem::remove(Handle h, Done done) {
   ino.size_bytes = 0;
   ino.pieces.clear();
 
-  auto join = make_join(
+  auto join = sim::make_status_latch(
       (int)extents.size() + 1,
       [done = std::move(done)](Status s) mutable { done(s); });
   for (const Extent& e : extents) {

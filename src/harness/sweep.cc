@@ -32,15 +32,8 @@ void SweepRunner::worker(Shared& sh) {
       // The callable constructs, drives, and destroys its private
       // simulator; only the plain-data result crosses back.
       if (cell.run_mix) {
-        MixResult m = cell.run_mix();
-        SweepCellResult r;
-        r.label = cell.label;
-        r.result = std::move(m.combined);
-        r.is_mix = true;
-        r.tenants = std::move(m.tenants);
-        r.queues = std::move(m.queues);
-        r.arbitration_rounds = m.arbitration_rounds;
-        (*sh.results)[index] = std::move(r);
+        (*sh.results)[index] = SweepCellResult{
+            .label = cell.label, .is_mix = true, .mix = cell.run_mix()};
       } else {
         (*sh.results)[index] = SweepCellResult{cell.label, cell.run()};
       }
@@ -90,12 +83,7 @@ void add_sweep_results(BenchReport& report,
                        const std::vector<SweepCellResult>& results) {
   for (const auto& r : results) {
     if (r.is_mix) {
-      MixResult m;
-      m.combined = r.result;
-      m.tenants = r.tenants;
-      m.queues = r.queues;
-      m.arbitration_rounds = r.arbitration_rounds;
-      report.add_mix(r.label, m);
+      report.add_mix(r.label, r.mix);
     } else {
       report.add_run(r.label, r.result);
     }

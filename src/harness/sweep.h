@@ -82,15 +82,14 @@ inline SweepCell sweep_source_cell(
       });
 }
 
-/// A finished cell, back on the caller's thread. Mix cells carry the
-/// combined view in `result` plus the splits; is_mix routes the merge.
+/// A finished cell, back on the caller's thread. A plain cell's result is
+/// `result`; a mix cell's whole MixResult is `mix`. is_mix routes the
+/// merge.
 struct SweepCellResult {
   std::string label;
   RunResult result;
   bool is_mix = false;
-  std::vector<TenantResult> tenants;
-  std::vector<QueueUsage> queues;
-  u64 arbitration_rounds = 0;
+  MixResult mix;
 };
 
 /// Runs sweeps of independent cells on a pool of std::threads.

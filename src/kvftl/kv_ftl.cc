@@ -6,45 +6,13 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "sim/latch.h"
+
 namespace kvsim::kvftl {
 
 namespace {
 constexpr u32 kPendingBlock = 0xffffffffu;  // chunk awaiting placement
 
-struct Join {
-  int remaining;
-  sim::Task then;
-  void arrive() {
-    if (--remaining == 0) then();
-  }
-};
-using JoinPtr = std::shared_ptr<Join>;
-JoinPtr make_join(int n, sim::Task then) {
-  return std::make_shared<Join>(Join{n, std::move(then)});
-}
-
-// Join that also accumulates a completion status: the first failure any
-// arm reports wins (later failures of an already-failed request drop).
-struct ReadJoin {
-  int remaining;
-  Status st = Status::kOk;
-  sim::Fn<void(Status)> then;
-  void fail(Status s) {
-    if (st == Status::kOk) st = s;
-  }
-  void arrive() {
-    if (--remaining == 0) then(st);
-  }
-};
-std::shared_ptr<ReadJoin> make_read_join(int n, sim::Fn<void(Status)> then) {
-  auto j = std::make_shared<ReadJoin>();
-  j->remaining = n;
-  j->then = std::move(then);
-  return j;
-}
-}  // namespace
-
-namespace {
 void validate_kv_cfg(const ssd::SsdConfig& dev, const KvFtlConfig& cfg) {
   dev.validate();
   if (cfg.slot_bytes == 0 || cfg.page_data_slots == 0)
@@ -67,43 +35,22 @@ KvFtl::KvFtl(sim::EventQueue& eq, flash::FlashController& flash,
       flash_(flash),
       geom_(dev.geometry),
       cfg_(cfg),
-      alloc_(dev.geometry),
-      buffer_(eq, dev.write_buffer_bytes),
+      log_(eq, flash, dev, stats_,
+           [this](flash::PageId p) { on_program_fail(p); }),
       managers_(std::max<u32>(1, cfg.index_managers)),
-      gc_reserved_blocks_(dev.gc_reserved_blocks),
-      gc_low_watermark_(dev.gc_low_watermark_blocks),
       index_(cfg.index),
       bloom_(cfg.expected_keys_hint),
       iters_(cfg.track_iterator_keys),
-      blocks_(dev.geometry.total_blocks()),
-      block_state_(dev.geometry.total_blocks(), kFree) {
+      recs_(dev.geometry.total_blocks()) {
   validate_kv_cfg(dev, cfg_);
   const u32 nlanes = cfg_.lanes ? cfg_.lanes : (u32)geom_.total_dies();
   lanes_.resize(std::max(nlanes, cfg_.write_streams));
   stream_rr_.assign(std::max<u32>(1, cfg_.write_streams), 0);
   gc_lanes_.resize(std::max<u32>(1, cfg_.gc_lanes));
-  buffered_count_.assign(geom_.total_blocks(), 0);
   if (cfg_.crash_tracking) flash_.set_crash_tracking(true);
 #if KVSIM_AUDIT
-  flash_audit_ = std::make_unique<ssd::FlashAudit>(geom_);
-  flash_.set_audit(flash_audit_.get());
   log_audit_ = std::make_unique<ssd::KvLogAudit>(geom_.total_blocks());
 #endif
-}
-
-KvFtl::~KvFtl() {
-  if (flash_audit_ && flash_.audit() == flash_audit_.get())
-    flash_.set_audit(nullptr);
-  if (faults_ && flash_.faults() == faults_.get()) flash_.set_faults(nullptr);
-}
-
-void KvFtl::set_fault_plan(const ssd::FaultPlan& plan) {
-  plan.validate();
-  if (faults_ && flash_.faults() == faults_.get()) flash_.set_faults(nullptr);
-  faults_.reset();
-  if (!plan.enabled) return;
-  faults_ = std::make_unique<ssd::FaultInjector>(plan, geom_, eq_);
-  flash_.set_faults(faults_.get());
 }
 
 void KvFtl::audit_verify() const {
@@ -122,7 +69,7 @@ void KvFtl::audit_verify() const {
       const ChunkRef& ref = blob.chunks[ci];
       if (ref.block == kPendingBlock) continue;
       ++refs;
-      const auto& recs = blocks_[ref.block].recs;
+      const auto& recs = recs_[ref.block];
       if (ref.rec >= recs.size())
         ssd::audit_fail("kvftl", "khash " + std::to_string(khash) +
                                      " chunk " + std::to_string(ci) +
@@ -155,17 +102,17 @@ void KvFtl::audit_verify() const {
   // Per-block: valid records must sum to the block's valid-slot counter
   // and match the shadow; globally every valid record is reachable.
   u64 valid_recs = 0;
-  for (u32 b = 0; b < (u32)blocks_.size(); ++b) {
+  for (u32 b = 0; b < (u32)recs_.size(); ++b) {
     u64 sum = 0;
-    for (const ChunkRec& rec : blocks_[b].recs)
+    for (const ChunkRec& rec : recs_[b])
       if (rec.valid) {
         sum += rec.slot_count;
         ++valid_recs;
       }
-    if (sum != blocks_[b].valid_slots)
+    if (sum != log_.valid_units()[b])
       ssd::audit_fail("kvftl", "block " + std::to_string(b) +
                                    " valid_slots counter " +
-                                   std::to_string(blocks_[b].valid_slots) +
+                                   std::to_string(log_.valid_units()[b]) +
                                    " != record sum " + std::to_string(sum));
     if (sum != log_audit_->block_valid_slots(b))
       ssd::audit_fail("kvftl", "block " + std::to_string(b) +
@@ -182,7 +129,7 @@ void KvFtl::audit_verify() const {
 }
 
 u64 KvFtl::data_slot_capacity() const {
-  const u64 reserved = gc_reserved_blocks_ + index_blocks_.size();
+  const u64 reserved = log_.reserved_blocks() + index_blocks_.size();
   const u64 blocks = geom_.total_blocks() > reserved
                          ? geom_.total_blocks() - reserved
                          : 0;
@@ -202,7 +149,7 @@ u64 KvFtl::device_bytes_used() const {
 
 void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
                   u8 stream, u8 nsid) {
-  if (busy_rejected(done)) return;
+  if (log_.busy_rejected(cfg_.dispatch_ns, done)) return;
   if (stream >= cfg_.write_streams) stream = (u8)(cfg_.write_streams - 1);
   if (key.size() < cfg_.min_key_bytes || key.size() > cfg_.max_key_bytes ||
       value.size > cfg_.max_value_bytes) {
@@ -226,7 +173,8 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
   }
   // Physical exhaustion: garbage collection proved futile (everything
   // valid or structural waste regenerates) and the free pool is gone.
-  if (gc_stuck_ && alloc_.free_blocks() <= gc_reserved_blocks_ + 1) {
+  if (gc_stuck_ &&
+      log_.allocator().free_blocks() <= log_.reserved_blocks() + 1) {
     done(Status::kDeviceFull);
     return;
   }
@@ -246,7 +194,7 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
                               : index_.on_update(khash);
 
   const std::string key_copy(key);
-  auto join = make_join(
+  auto join = sim::make_latch(
       2 + (int)ic.segment_reads,
       [this, khash, key_copy, value, slots, nchunks, stream, nsid,
        done = std::move(done)]() mutable {
@@ -272,7 +220,8 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
         place_blob(khash, blob.gen, slots, stream);
         done(Status::kOk);
       });
-  buffer_.acquire((u64)slots * cfg_.slot_bytes, [join] { join->arrive(); });
+  log_.buffer().acquire((u64)slots * cfg_.slot_bytes,
+                        [join] { join->arrive(); });
   eq_.schedule_at(t_cpu, [join] { join->arrive(); });
   charge_index_cost(ic, [join] { join->arrive(); });
 }
@@ -305,7 +254,7 @@ bool KvFtl::place_chunk(u64 khash, u8 chunk_idx, u16 slot_count, bool is_gc,
     u32& rr = stream_rr_[stream % streams];
     lane_ptr = &lanes_[(stream % streams) + (rr % group) * streams];
     rr = (rr + 1) % group;
-    if (!lane_ptr->block && alloc_.free_blocks() <= gc_reserved_blocks_) {
+    if (!lane_ptr->block && log_.at_reserve()) {
       // Out of fresh blocks: fall back to any lane of this stream that
       // still has an open one.
       for (u32 k = 0; k < group; ++k) {
@@ -331,19 +280,15 @@ bool KvFtl::place_chunk(u64 khash, u8 chunk_idx, u16 slot_count, bool is_gc,
 
   const flash::BlockId b = *lane.block;
   const flash::PageId page = geom_.page_id(b, lane.next_page);
-  BlockInfo& info = blocks_[b];
-  const u32 rec_idx = (u32)info.recs.size();
-  info.recs.push_back(ChunkRec{khash, (u16)lane.next_page,
-                               (u16)lane.used_slots, slot_count, chunk_idx,
-                               true});
-  info.valid_slots += slot_count;
+  const u32 rec_idx = (u32)recs_[b].size();
+  recs_[b].push_back(ChunkRec{khash, (u16)lane.next_page,
+                              (u16)lane.used_slots, slot_count, chunk_idx,
+                              true});
+  log_.valid(b) += slot_count;
   live_slots_ += slot_count;
   if (log_audit_) log_audit_->on_place(khash, chunk_idx, (u32)b, rec_idx,
                                        slot_count);
-  if (lane.used_slots == 0) {
-    buffered_pages_.insert(page);
-    ++buffered_count_[b];
-  }
+  if (lane.used_slots == 0) log_.buffer_page(page);
   lane.used_slots += slot_count;
   lane.buffered_bytes += (u64)slot_count * cfg_.slot_bytes;
 
@@ -354,7 +299,7 @@ bool KvFtl::place_chunk(u64 khash, u8 chunk_idx, u16 slot_count, bool is_gc,
     // OOB blob descriptor, mirroring what the firmware writes into the
     // page meta area: a=gen|chunk|slot_start, b=value|slots|key bytes.
     const BlobRec& br = blob->second;
-    const ChunkRec& rec = blocks_[b].recs[rec_idx];
+    const ChunkRec& rec = recs_[b][rec_idx];
     lane.staged.push_back(flash::OobEntry{
         khash, br.vfp,
         ((u64)br.gen << 32) | ((u64)rec.chunk_idx << 16) | rec.slot_start,
@@ -372,16 +317,12 @@ bool KvFtl::place_chunk(u64 khash, u8 chunk_idx, u16 slot_count, bool is_gc,
 
 bool KvFtl::ensure_block(Lane& lane, bool is_gc) {
   if (lane.block) return true;
-  if (!is_gc && alloc_.free_blocks() <= gc_reserved_blocks_) return false;
-  auto b = alloc_.allocate();
-  if (!b) return false;
-  lane.block = *b;
+  lane.block = log_.open_block(is_gc);
+  if (!lane.block) return false;
   lane.next_page = 0;
   lane.used_slots = 0;
   lane.buffered_bytes = 0;
-  block_state_[*b] = kOpen;
-  blocks_[*b].recs.clear();
-  blocks_[*b].valid_slots = 0;
+  recs_[*lane.block].clear();  // all invalid since before its last erase
   if (!is_gc) maybe_start_gc();
   return true;
 }
@@ -397,30 +338,16 @@ void KvFtl::seal_page(Lane& lane, bool is_gc) {
   lane.buffered_bytes = 0;
   ++lane.flush_arm;
   if (++lane.next_page == geom_.pages_per_block) {
-    block_state_[*lane.block] = kSealed;
+    log_.seal(*lane.block);
     lane.block.reset();
   }
 
-  stats_.flash_bytes_written += geom_.page_bytes;
-  ++outstanding_programs_;
+  log_.begin_program();
   // The packer engine assembles the page (log append, offsets, metadata
   // area) before the program is dispatched.
   const TimeNs t_pack = packer_.reserve(eq_.now(), cfg_.pack_page_ns);
   eq_.schedule_at(t_pack, [this, page, host_bytes, is_gc] {
-    flash_.program_page(page, geom_.page_bytes, [this, page, host_bytes,
-                                                 is_gc](flash::OpStatus st) {
-      buffered_pages_.erase(page);
-      --buffered_count_[page / geom_.pages_per_block];
-      if (!is_gc) buffer_.release(host_bytes);
-      // Recovery may issue fresh programs a flush() waiter must wait
-      // for, so it runs before the outstanding-program drain check.
-      if (st == flash::OpStatus::kProgramFail) on_program_fail(page);
-      if (--outstanding_programs_ == 0 && !drain_waiters_.empty()) {
-        auto waiters = std::move(drain_waiters_);
-        drain_waiters_.clear();
-        for (auto& w : waiters) w();
-      }
-    });
+    log_.program(page, host_bytes, is_gc);
   });
 }
 
@@ -441,10 +368,10 @@ void KvFtl::invalidate_blob(BlobRec& blob) {
   gc_futile_streak_ = 0;
   for (const ChunkRef& ref : blob.chunks) {
     if (ref.block == kPendingBlock) continue;  // never placed (superseded)
-    ChunkRec& rec = blocks_[ref.block].recs[ref.rec];
+    ChunkRec& rec = recs_[ref.block][ref.rec];
     if (!rec.valid) continue;
     rec.valid = false;
-    blocks_[ref.block].valid_slots -= rec.slot_count;
+    log_.valid(ref.block) -= rec.slot_count;
     live_slots_ -= std::min<u64>(live_slots_, rec.slot_count);
     if (log_audit_)
       log_audit_->on_invalidate(rec.khash, rec.chunk_idx, ref.block, ref.rec);
@@ -492,7 +419,7 @@ void KvFtl::read_cache_evict(u64 khash) {
 // ---------------------------------------------------------------------------
 
 void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
-  if (busy_rejected(done, ValueDesc{})) return;
+  if (log_.busy_rejected(cfg_.dispatch_ns, done, ValueDesc{})) return;
   const u64 khash = hash64(key, nsid);
   ++stats_.host_read_ops;
   const TimeNs t_disp = kv_core_.reserve(eq_.now(), cfg_.dispatch_ns);
@@ -510,10 +437,10 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
   const IndexCost ic = index_.on_lookup(khash);
   auto it = blob_table_.find(khash);
   if (it == blob_table_.end()) {  // Bloom false positive
-    auto join = make_join(1 + (int)ic.segment_reads,
-                          [done = std::move(done)]() mutable {
-                            done(Status::kNotFound, ValueDesc{});
-                          });
+    auto join = sim::make_latch(1 + (int)ic.segment_reads,
+                                [done = std::move(done)]() mutable {
+                                  done(Status::kNotFound, ValueDesc{});
+                                });
     eq_.schedule_at(t_mgr, [join] { join->arrive(); });
     charge_index_cost(ic, [join] { join->arrive(); });
     return;
@@ -538,9 +465,9 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
       ++buffered_chunks;
       continue;
     }
-    const ChunkRec& rec = blocks_[ref.block].recs[ref.rec];
+    const ChunkRec& rec = recs_[ref.block][ref.rec];
     const flash::PageId page = geom_.page_id(ref.block, rec.page);
-    if (buffered_pages_.count(page)) {
+    if (log_.buffered(page)) {
       ++buffered_chunks;
     } else {
       reads.push_back(
@@ -550,7 +477,7 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
 
   // All flash chunks of the blob batch into one die-op completion: the
   // host sees the value when its slowest chunk arrives either way.
-  auto join = make_read_join(
+  auto join = sim::make_status_latch(
       1 + (int)ic.segment_reads + (reads.empty() ? 0 : 1) + buffered_chunks,
       [this, khash, out, done = std::move(done)](Status st) mutable {
         if (st == Status::kOk) read_cache_insert(khash, out.size);
@@ -562,21 +489,22 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
     flash_.read_multi(
         reads.data(), (u32)reads.size(),
         [this, join](flash::OpStatus st, flash::PageId bad) {
+          Status s = Status::kOk;
           if (st == flash::OpStatus::kUncorrectable) {
-            join->fail(Status::kMediaError);
+            s = Status::kMediaError;
             on_read_media_error(bad);
           } else if (st == flash::OpStatus::kTimeout) {
-            join->fail(Status::kTimeout);
+            s = Status::kTimeout;
             ++stats_.op_timeouts;
           }
-          join->arrive();
+          join->arrive(s);
         });
   for (int i = 0; i < buffered_chunks; ++i)
     eq_.schedule_after(cfg_.cache_hit_ns, [join] { join->arrive(); });
 }
 
 void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
-  if (busy_rejected(done)) return;
+  if (log_.busy_rejected(cfg_.dispatch_ns, done)) return;
   const u64 khash = hash64(key, nsid);
   const TimeNs t_disp = kv_core_.reserve(eq_.now(), cfg_.dispatch_ns);
   const TimeNs t_mgr = managers_[khash % managers_.size()].reserve(
@@ -605,16 +533,16 @@ void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
   iters_.remove(key, nsid);
   if (ns_kvp_counts_[nsid] > 0) --ns_kvp_counts_[nsid];
 
-  auto join = make_join(1 + (int)ic.segment_reads,
-                        [done = std::move(done)]() mutable {
-                          done(Status::kOk);
-                        });
+  auto join = sim::make_latch(1 + (int)ic.segment_reads,
+                              [done = std::move(done)]() mutable {
+                                done(Status::kOk);
+                              });
   eq_.schedule_at(t_mgr, [join] { join->arrive(); });
   charge_index_cost(ic, [join] { join->arrive(); });
 }
 
 void KvFtl::exist(std::string_view key, ExistDone done, u8 nsid) {
-  if (busy_rejected(done, false)) return;
+  if (log_.busy_rejected(cfg_.dispatch_ns, done, false)) return;
   const u64 khash = hash64(key, nsid);
   const TimeNs t_disp = kv_core_.reserve(eq_.now(), cfg_.dispatch_ns);
   const TimeNs t_mgr = managers_[khash % managers_.size()].reserve(
@@ -628,10 +556,10 @@ void KvFtl::exist(std::string_view key, ExistDone done, u8 nsid) {
   }
   const IndexCost ic = index_.on_lookup(khash);
   const bool found = blob_table_.count(khash) != 0;
-  auto join = make_join(1 + (int)ic.segment_reads,
-                        [found, done = std::move(done)]() mutable {
-                          done(Status::kOk, found);
-                        });
+  auto join = sim::make_latch(1 + (int)ic.segment_reads,
+                              [found, done = std::move(done)]() mutable {
+                                done(Status::kOk, found);
+                              });
   eq_.schedule_at(t_mgr, [join] { join->arrive(); });
   charge_index_cost(ic, [join] { join->arrive(); });
 }
@@ -651,7 +579,7 @@ void KvFtl::iterate_bucket(
   for (const auto& k : keys) bytes += k.size() + 4;
   const u32 nreads = (u32)((bytes + 4 * KiB - 1) / (4 * KiB));
   const TimeNs t_disp = kv_core_.reserve(eq_.now(), cfg_.dispatch_ns);
-  auto join = make_join(
+  auto join = sim::make_latch(
       1 + (int)nreads,
       [keys = std::move(keys), done = std::move(done)]() mutable {
         done(std::move(keys));
@@ -679,20 +607,16 @@ flash::PageId KvFtl::next_index_page() {
     // same parallelism as data.
     const u64 plane = (index_blocks_.size() * (geom_.planes_per_die + 1)) %
                       geom_.total_planes();
-    auto b = alloc_.allocate_on_plane(plane);
-    if (!b) b = alloc_.allocate();
+    auto b = log_.allocator().allocate_on_plane(plane);
+    if (!b) b = log_.allocator().allocate();
     if (!b) break;  // device full: reuse existing index blocks
-    block_state_[*b] = kIndexBlock;
-    // The index log is an abstract time-charge model: it reuses pages
-    // round-robin without erasing, so flash legality does not apply.
-    if (flash_audit_) flash_audit_->set_exempt(*b);
+    log_.reserve_block(*b);
     index_blocks_.push_back(*b);
   }
   if (index_blocks_.empty()) {
-    auto b = alloc_.allocate();
+    auto b = log_.allocator().allocate();
     if (b) {
-      block_state_[*b] = kIndexBlock;
-      if (flash_audit_) flash_audit_->set_exempt(*b);
+      log_.reserve_block(*b);
       index_blocks_.push_back(*b);
     } else {
       return 0;  // pathological: charge ops to page 0
@@ -730,15 +654,9 @@ void KvFtl::charge_index_cost(const IndexCost& cost,
   index_write_accum_ += cost.segment_writes * cfg_.index.dirty_delta_bytes;
   while (index_write_accum_ >= geom_.page_bytes) {
     index_write_accum_ -= geom_.page_bytes;
-    stats_.flash_bytes_written += geom_.page_bytes;
-    ++outstanding_programs_;
-    flash_.program_page(next_index_page(), geom_.page_bytes, [this] {
-      if (--outstanding_programs_ == 0 && !drain_waiters_.empty()) {
-        auto waiters = std::move(drain_waiters_);
-        drain_waiters_.clear();
-        for (auto& w : waiters) w();
-      }
-    });
+    log_.begin_program();
+    flash_.program_page(next_index_page(), geom_.page_bytes,
+                        [this] { log_.end_program(); });
   }
 }
 
@@ -758,11 +676,7 @@ void KvFtl::flush(sim::Task done) {
       waste_slots_ += cfg_.page_data_slots - lane.used_slots;
       seal_page(lane, true);
     }
-  if (outstanding_programs_ == 0) {
-    eq_.schedule_after(0, std::move(done));
-  } else {
-    drain_waiters_.push_back(std::move(done));
-  }
+  log_.drain(std::move(done));
 }
 
 // ---------------------------------------------------------------------------
@@ -770,9 +684,16 @@ void KvFtl::flush(sim::Task done) {
 // ---------------------------------------------------------------------------
 
 void KvFtl::maybe_start_gc() {
-  if (!gc_running_ && !gc_stuck_ &&
-      alloc_.free_blocks() < gc_low_watermark_)
+  if (!gc_running_ && !gc_stuck_ && log_.below_watermark()) run_gc();
+}
+
+void KvFtl::continue_gc() {
+  if (log_.below_watermark()) {
     run_gc();
+  } else {
+    gc_running_ = false;
+    audit_verify();
+  }
 }
 
 void KvFtl::run_gc() {
@@ -780,51 +701,23 @@ void KvFtl::run_gc() {
   gc_cycle_migrated0_ = stats_.gc_migrated_bytes;
   gc_cycle_waste0_ = gc_waste_slots_;
   ++stats_.gc_runs;
+  const ssd::BlockLog::Victims v = log_.pick_victims();
   // Fast path: fully-invalid victims erase in one parallel wave.
-  std::vector<flash::BlockId> free_wins;
-  flash::BlockId victim = ~0ull;
-  u32 best = ~0u;
-  for (flash::BlockId b = 0; b < geom_.total_blocks(); ++b) {
-    if (block_state_[b] != kSealed || buffered_count_[b] != 0) continue;
-    if (blocks_[b].valid_slots == 0 && free_wins.size() < 32)
-      free_wins.push_back(b);
-    if (blocks_[b].valid_slots < best) {
-      best = blocks_[b].valid_slots;
-      victim = b;
-    }
-  }
-  if (free_wins.size() > 1) {
-    auto join = make_join((int)free_wins.size(), [this] {
+  if (v.free_wins.size() > 1) {
+    log_.erase_wave(v.free_wins, [this] {
       gc_futile_streak_ = 0;  // reclaimed without consuming anything
       on_block_freed();
-      if (alloc_.free_blocks() < gc_low_watermark_) {
-        run_gc();
-      } else {
-        gc_running_ = false;
-        audit_verify();
-      }
+      continue_gc();
     });
-    for (flash::BlockId b : free_wins) {
-      block_state_[b] = kErasing;
-      flash_.erase_block(b, [this, b, join](flash::OpStatus st) {
-        if (st == flash::OpStatus::kEraseFail) {
-          retire_erase_failed(b);
-        } else {
-          blocks_[b].recs.clear();
-          block_state_[b] = kFree;
-          alloc_.release(b);
-        }
-        join->arrive();
-      });
-    }
     return;
   }
-  if (victim == ~0ull) {
+  if (v.victim == ssd::BlockLog::kNoBlock) {
     gc_running_ = false;
     audit_verify();
     return;
   }
-  if (best == 0) {
+  const flash::BlockId victim = v.victim;
+  if (v.valid == 0) {
     finish_gc(victim);
     return;
   }
@@ -833,7 +726,7 @@ void KvFtl::run_gc() {
   std::vector<flash::PageRead> reads;
   u16 last_page = 0xffff;
   // recs are appended in page order, so valid pages appear in order.
-  for (const ChunkRec& rec : blocks_[victim].recs) {
+  for (const ChunkRec& rec : recs_[victim]) {
     if (!rec.valid || rec.page == last_page) continue;
     last_page = rec.page;
     reads.push_back(
@@ -846,15 +739,14 @@ void KvFtl::run_gc() {
 void KvFtl::migrate_and_erase(flash::BlockId victim) {
   // Copy the record list: place_chunk appends to other blocks' recs and
   // may reallocate vectors, but never touches `victim`'s (it is not open).
-  const std::vector<ChunkRec> recs = blocks_[victim].recs;
+  const std::vector<ChunkRec> recs = recs_[victim];
   for (const ChunkRec& rec : recs) {
     if (!rec.valid) continue;
     auto it = blob_table_.find(rec.khash);
     if (it == blob_table_.end()) continue;
     // Invalidate the old location, then re-place the chunk via a GC lane.
-    BlockInfo& info = blocks_[victim];
-    info.recs[&rec - recs.data()].valid = false;
-    info.valid_slots -= rec.slot_count;
+    recs_[victim][&rec - recs.data()].valid = false;
+    log_.valid(victim) -= rec.slot_count;
     live_slots_ -= std::min<u64>(live_slots_, rec.slot_count);
     if (log_audit_)
       log_audit_->on_invalidate(rec.khash, rec.chunk_idx, victim,
@@ -871,19 +763,10 @@ void KvFtl::migrate_and_erase(flash::BlockId victim) {
 }
 
 void KvFtl::finish_gc(flash::BlockId victim) {
-  block_state_[victim] = kErasing;
-  flash_.erase_block(victim, [this, victim](flash::OpStatus st) {
-    if (st == flash::OpStatus::kEraseFail) {
-      // The victim leaves the candidate set as a grown bad block; the
-      // futility math below sees nothing freed and moves on.
-      retire_erase_failed(victim);
-    } else {
-      blocks_[victim].recs.clear();
-      blocks_[victim].valid_slots = 0;
-      block_state_[victim] = kFree;
-      alloc_.release(victim);
-      on_block_freed();
-    }
+  log_.erase(victim, [this](bool erased) {
+    // A failed erase retires the victim as a grown bad block; the
+    // futility math below sees nothing freed and moves on.
+    if (erased) on_block_freed();
     // Futility check: slots consumed (migrated data + regenerated page
     // waste) nearly equal to the slots the erased block returned mean GC
     // cannot create net free space.
@@ -903,12 +786,7 @@ void KvFtl::finish_gc(flash::BlockId victim) {
       audit_verify();
       return;
     }
-    if (alloc_.free_blocks() < gc_low_watermark_) {
-      run_gc();
-    } else {
-      gc_running_ = false;
-      audit_verify();
-    }
+    continue_gc();
   });
 }
 
@@ -937,7 +815,7 @@ void KvFtl::on_block_freed() {
     if (it == blob_table_.end() || it->second.gen != pc.gen) {
       // The blob was deleted or overwritten while its chunk waited; drop
       // it and release the buffer space it held.
-      buffer_.release((u64)pc.slot_count * cfg_.slot_bytes);
+      log_.buffer().release((u64)pc.slot_count * cfg_.slot_bytes);
       pending_chunks_.pop_front();
       continue;
     }
@@ -963,9 +841,9 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   for (const auto& [khash, blob] : blob_table_)
     pre.emplace_back(khash, blob.vfp);
 
-  // Cut power at the media and the firmware engines.
-  const std::vector<flash::PageId> torn = flash_.power_loss(cut);
-  out.torn_pages = torn.size();
+  // Cut power at the media, the block log and the firmware engines.
+  const ssd::BlockLog::Survivors surv = log_.power_cut(cut);
+  out.torn_pages = surv.torn.size();
   kv_core_.power_cycle(cut);
   for (auto& m : managers_) m.power_cycle(cut);
   packer_.power_cycle(cut);
@@ -978,12 +856,8 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   for (auto& lane : gc_lanes_) lane = Lane{};
   std::fill(stream_rr_.begin(), stream_rr_.end(), 0u);
   gc_lane_rr_ = 0;
-  buffered_pages_.clear();
-  std::fill(buffered_count_.begin(), buffered_count_.end(), 0u);
   pending_chunks_.clear();
   recovery_pending_.clear();
-  outstanding_programs_ = 0;
-  drain_waiters_.clear();
   index_write_accum_ = 0;
   index_page_rr_ = 0;
   gc_running_ = false;
@@ -992,12 +866,8 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   rcache_lru_.clear();
   rcache_map_.clear();
   rcache_bytes_ = 0;
-  buffer_.reset();
   blob_table_.clear();
-  for (auto& b : blocks_) {
-    b.recs.clear();
-    b.valid_slots = 0;
-  }
+  for (auto& recs : recs_) recs.clear();
   live_slots_ = 0;
   app_bytes_live_ = 0;
   waste_slots_ = 0;
@@ -1026,12 +896,8 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
     u64 vfp = 0;
     std::vector<ChunkLoc> chunks;
   };
-  std::vector<std::pair<u64, flash::PageId>> pages;  // (epoch, page)
-  for (const auto& [p, oob] : flash_.committed_oob())
-    pages.emplace_back(oob.epoch, p);
-  std::sort(pages.begin(), pages.end());
   std::unordered_map<u64, std::map<u32, GenCand>> cands;
-  for (const auto& [epoch, p] : pages) {
+  for (const auto& [epoch, p] : surv.pages) {
     const auto& oob = flash_.committed_oob().at(p);
     u64 page_slots = 0;
     for (const auto& e : oob.entries) {
@@ -1105,11 +971,10 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
                      std::tie(b.block, b.page, b.slot_start, b.khash);
             });
   for (const Placement& pl : placements) {
-    BlockInfo& info = blocks_[pl.block];
-    const u32 rec_idx = (u32)info.recs.size();
-    info.recs.push_back(ChunkRec{pl.khash, pl.page, pl.slot_start,
-                                 pl.slot_count, pl.chunk_idx, true});
-    info.valid_slots += pl.slot_count;
+    const u32 rec_idx = (u32)recs_[pl.block].size();
+    recs_[pl.block].push_back(ChunkRec{pl.khash, pl.page, pl.slot_start,
+                                       pl.slot_count, pl.chunk_idx, true});
+    log_.valid(pl.block) += pl.slot_count;
     live_slots_ += pl.slot_count;
     blob_table_[pl.khash].chunks[pl.chunk_idx] =
         ChunkRef{(u32)pl.block, rec_idx};
@@ -1138,45 +1003,14 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
     if (it == blob_table_.end() || it->second.vfp != vfp) ++out.lost_units;
   }
 
-  // Block states: grown-bad and index blocks persist; anything holding
-  // committed or torn pages is sealed (lanes never resume across a power
-  // cycle); the rest is free. Erase counts are wear and survive.
-  std::vector<u8> has_data(geom_.total_blocks(), 0);
-  for (const auto& [epoch, p] : pages) has_data[geom_.block_of_page(p)] = 1;
-  for (flash::PageId p : torn) has_data[geom_.block_of_page(p)] = 1;
-  std::vector<flash::BlockId> free_list;
-  for (flash::BlockId b = 0; b < geom_.total_blocks(); ++b) {
-    if (block_state_[b] == kBad || block_state_[b] == kIndexBlock) continue;
-    if (has_data[b]) {
-      block_state_[b] = kSealed;
-    } else {
-      block_state_[b] = kFree;
-      free_list.push_back(b);
-    }
-  }
-  alloc_.reset_free(free_list);
-
   // Charge the mount: one meta-area read per data page that holds (or
   // tore), batched per die, plus key-handling time per recovered KVP to
   // rehash keys and rebuild the index in DRAM.
-  std::vector<flash::PageRead> scan;
-  scan.reserve(pages.size() + torn.size());
-  for (const auto& [epoch, p] : pages)
-    scan.push_back(flash::PageRead{p, cfg_.mount_read_bytes});
-  for (flash::PageId p : torn)
-    scan.push_back(flash::PageRead{p, cfg_.mount_read_bytes});
-  std::sort(scan.begin(), scan.end(),
-            [](const flash::PageRead& a, const flash::PageRead& b) {
-              return a.page < b.page;
-            });
-  out.rebuild_pages_read = scan.size();
   const TimeNs cpu_done = kv_core_.reserve(
       eq_.now(),
       cfg_.dispatch_ns + (TimeNs)winners.size() * cfg_.key_handling_ns);
-  auto join = make_join((scan.empty() ? 0 : 1) + 1, std::move(done));
-  eq_.schedule_at(cpu_done, [join] { join->arrive(); });
-  if (!scan.empty())
-    flash_.read_multi(scan.data(), (u32)scan.size(), [join] { join->arrive(); });
+  out.rebuild_pages_read =
+      log_.mount_scan(surv, cfg_.mount_read_bytes, cpu_done, std::move(done));
 }
 
 bool KvFtl::probe_durable(std::string_view key, u64 vfp, u8 nsid) const {
@@ -1193,14 +1027,14 @@ void KvFtl::relocate_page_chunks(flash::PageId p) {
   const u32 page = geom_.page_in_block(p);
   // Index-based loop: place_chunk may append to this very record list if
   // a GC lane re-opens on block `b` (media-error scrub of a live block).
-  for (u32 ri = 0; ri < (u32)blocks_[b].recs.size(); ++ri) {
-    ChunkRec& rec = blocks_[b].recs[ri];
+  for (u32 ri = 0; ri < (u32)recs_[b].size(); ++ri) {
+    ChunkRec& rec = recs_[b][ri];
     if (!rec.valid || rec.page != page) continue;
     const u64 khash = rec.khash;
     const u8 chunk_idx = rec.chunk_idx;
     const u16 slot_count = rec.slot_count;
     rec.valid = false;
-    blocks_[b].valid_slots -= slot_count;
+    log_.valid(b) -= slot_count;
     live_slots_ -= std::min<u64>(live_slots_, slot_count);
     if (log_audit_)
       log_audit_->on_invalidate(khash, chunk_idx, (u32)b, ri);
@@ -1234,25 +1068,20 @@ void KvFtl::on_program_fail(flash::PageId page) {
 }
 
 void KvFtl::retire_block(flash::BlockId b) {
-  if (block_state_[b] == kBad) return;
+  // Dead capacity from here on: chunks on its already-programmed pages
+  // stay readable until invalidated.
+  if (!log_.retire(b)) return;
   for (auto& lane : lanes_) close_lane(lane, b, /*is_gc=*/false);
   for (auto& lane : gc_lanes_) close_lane(lane, b, /*is_gc=*/true);
-  block_state_[b] = kBad;
-  ++stats_.grown_bad_blocks;
-  // Not released to the allocator: the block is dead capacity. Chunks on
-  // its already-programmed pages stay readable until invalidated.
 }
 
 void KvFtl::close_lane(Lane& lane, flash::BlockId b, bool is_gc) {
   if (!lane.block || *lane.block != b) return;
   const u32 open_page = lane.next_page;
-  if (lane.used_slots > 0) {
-    buffered_pages_.erase(geom_.page_id(b, open_page));
-    --buffered_count_[b];
-    // Host chunks of the aborted page free their buffer space here; the
-    // re-driven copies ride the recovery path, which never re-acquires.
-    if (!is_gc) buffer_.release(lane.buffered_bytes);
-  }
+  // Host chunks of the aborted page free their buffer space here; the
+  // re-driven copies ride the recovery path, which never re-acquires.
+  if (lane.used_slots > 0)
+    log_.drop_page(geom_.page_id(b, open_page), lane.buffered_bytes, is_gc);
   lane.used_slots = 0;
   lane.buffered_bytes = 0;
   lane.staged.clear();  // the open page will never program
@@ -1261,15 +1090,6 @@ void KvFtl::close_lane(Lane& lane, flash::BlockId b, bool is_gc) {
   // The open page will never program; re-drive its chunks after the lane
   // has let go of the block so placement cannot target it again.
   relocate_page_chunks(geom_.page_id(b, open_page));
-}
-
-void KvFtl::retire_erase_failed(flash::BlockId b) {
-  ++stats_.erase_failures;
-  ++stats_.grown_bad_blocks;
-  blocks_[b].recs.clear();  // every record was invalid before the erase
-  blocks_[b].valid_slots = 0;
-  block_state_[b] = kBad;
-  // Never released: dead capacity.
 }
 
 }  // namespace kvsim::kvftl

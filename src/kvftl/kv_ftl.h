@@ -30,7 +30,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "flash/controller.h"
@@ -40,12 +39,10 @@
 #include "kvftl/packing.h"
 #include "sim/event_queue.h"
 #include "sim/task.h"
-#include "ssd/allocator.h"
 #include "ssd/audit.h"
+#include "ssd/block_log.h"
 #include "ssd/config.h"
-#include "ssd/fault.h"
 #include "ssd/stats.h"
-#include "ssd/write_buffer.h"
 
 #include "common/thread_annotations.h"
 
@@ -105,7 +102,6 @@ class KvFtl {
 
   KvFtl(sim::EventQueue& eq, flash::FlashController& flash,
         const ssd::SsdConfig& dev, const KvFtlConfig& cfg);
-  ~KvFtl();
 
   /// Store (insert or overwrite) a key-value pair. `stream` is an
   /// optional placement hint (clamped to config.write_streams - 1);
@@ -151,14 +147,18 @@ class KvFtl {
   /// Upper bound on storable KVPs (every KVP needs at least one slot).
   [[nodiscard]] u64 max_kvp_capacity() const;
   [[nodiscard]] u64 live_slots() const { return live_slots_; }
-  [[nodiscard]] u64 free_blocks() const { return alloc_.free_blocks(); }
+  [[nodiscard]] u64 free_blocks() const {
+    return log_.allocator().free_blocks();
+  }
   [[nodiscard]] u64 padding_waste_slots() const { return waste_slots_; }
   [[nodiscard]] const IndexModel& index() const { return index_; }
   [[nodiscard]] u64 buffer_stalls() const {
-    return buffer_.total_stall_events();
+    return log_.buffer().total_stall_events();
   }
   /// Wear telemetry (erase counts live in the allocator).
-  [[nodiscard]] const ssd::BlockAllocator& allocator() const { return alloc_; }
+  [[nodiscard]] const ssd::BlockAllocator& allocator() const {
+    return log_.allocator();
+  }
   [[nodiscard]] u64 bloom_negative_hits() const {
     return bloom_fast_negatives_;
   }
@@ -200,19 +200,16 @@ class KvFtl {
   /// Arm (plan.enabled) or disarm fault injection. Disarmed, no injector
   /// exists and the flash hot path is exactly the pre-fault one. Arming
   /// mid-run is allowed; the injector's wear clock starts at zero.
-  void set_fault_plan(const ssd::FaultPlan& plan);
+  void set_fault_plan(const ssd::FaultPlan& plan) {
+    log_.set_fault_plan(plan);
+  }
   /// The active injector, or nullptr when faults are disarmed.
   [[nodiscard]] const ssd::FaultInjector* fault_injector() const {
-    return faults_.get();
+    return log_.faults();
   }
 
  private:
-  /// kBad: a grown bad block — retired after a program/erase failure.
-  /// Never erased, never re-allocated, skipped by GC; chunks on its
-  /// already-programmed pages stay readable (dead capacity).
-  enum BlockState : u8 {
-    kFree = 0, kOpen, kSealed, kErasing, kIndexBlock, kBad
-  };
+  friend struct ssd::BlockLogAccess;
 
   struct ChunkRec {
     u64 khash;
@@ -234,11 +231,6 @@ class KvFtl {
     u32 gen = 0;  // bumped on every overwrite; stale pending chunks drop
     u64 vfp;      // value fingerprint
     std::vector<ChunkRef> chunks;
-  };
-
-  struct BlockInfo {
-    std::vector<ChunkRec> recs;
-    u32 valid_slots = 0;
   };
 
   struct Lane {
@@ -280,24 +272,13 @@ class KvFtl {
   // --- garbage collection ---
   void maybe_start_gc();
   void run_gc();
+  /// Collect again while below the low watermark, else stop.
+  void continue_gc();
   void migrate_and_erase(flash::BlockId victim);
   void finish_gc(flash::BlockId victim);
   void on_block_freed();
 
   // --- fault recovery ---
-  /// True (and the command was answered kDeviceBusy with `extra...` as
-  /// the remaining completion arguments) when the front end is inside a
-  /// stall-induced busy window.
-  template <typename D, typename... Extra>
-  [[nodiscard]] bool busy_rejected(D& done, Extra... extra) {
-    if (!faults_ || !faults_->host_busy()) return false;
-    ++stats_.busy_rejections;
-    eq_.schedule_after(cfg_.dispatch_ns,
-                       [done = std::move(done), extra...]() mutable {
-                         done(Status::kDeviceBusy, extra...);
-                       });
-    return true;
-  }
   /// Re-place every valid chunk recorded on page `p` through a GC lane
   /// (media scrub / failed-program re-drive), charging the same index
   /// relocation delta a GC migration pays. Chunks that find no block
@@ -309,7 +290,6 @@ class KvFtl {
   /// (its buffered chunks re-route through the recovery path).
   void retire_block(flash::BlockId b);
   void close_lane(Lane& lane, flash::BlockId b, bool is_gc);
-  void retire_erase_failed(flash::BlockId b);
 
   [[nodiscard]] u64 data_slot_capacity() const;
 
@@ -317,31 +297,23 @@ class KvFtl {
   flash::FlashController& flash_;
   flash::FlashGeometry geom_;
   KvFtlConfig cfg_;
-  ssd::BlockAllocator alloc_;
-  ssd::WriteBuffer buffer_;
+  ssd::FtlStats stats_;
+  ssd::BlockLog log_;
   sim::Resource kv_core_;                 // command dispatch
   std::vector<sim::Resource> managers_;   // key-handling units
   sim::Resource packer_;                  // data-packing engine
-  u32 gc_reserved_blocks_;
-  u32 gc_low_watermark_;
 
   IndexModel index_;
   CountingBloom bloom_;
   IteratorBuckets iters_;
 
   std::unordered_map<u64, BlobRec> blob_table_;
-  std::vector<BlockInfo> blocks_;
-  std::vector<u8> block_state_;
+  std::vector<std::vector<ChunkRec>> recs_;  // per block, in log order
 
   std::vector<Lane> lanes_;
   std::vector<u32> stream_rr_;  // per-stream round-robin lane cursor
   std::vector<Lane> gc_lanes_;
   u32 gc_lane_rr_ = 0;
-  std::unordered_set<flash::PageId> buffered_pages_;
-  // Per block: pages buffered or with an in-flight program. GC must not
-  // pick a victim before its last program lands (the packer can delay a
-  // program past the block's kSealed transition).
-  std::vector<u32> buffered_count_;
   std::deque<PendingChunk> pending_chunks_;
 
   // index flash region
@@ -377,14 +349,9 @@ class KvFtl {
   u64 rcache_bytes_ = 0;
   u64 read_cache_hits_ = 0;
 
-  u64 outstanding_programs_ = 0;
-  std::vector<sim::Task> drain_waiters_;
-
-  // Fault injection (null unless a plan is armed) and chunks whose
-  // recovery re-placement is waiting for a free block. Recovery chunks
-  // hold no write-buffer bytes (their share was released when the
-  // original page failed or its lane closed).
-  std::unique_ptr<ssd::FaultInjector> faults_;
+  // Chunks whose recovery re-placement is waiting for a free block.
+  // Recovery chunks hold no write-buffer bytes (their share was released
+  // when the original page failed or its lane closed).
   std::deque<PendingChunk> recovery_pending_;
 
   // Crash tracking: models the key bytes stored in each page's meta area.
@@ -396,11 +363,8 @@ class KvFtl {
   };
   std::unordered_map<u64, KeyDirEntry> key_dir_;
 
-  // KVSIM_AUDIT shadow models (null when auditing is compiled out)
-  std::unique_ptr<ssd::FlashAudit> flash_audit_;
+  // KVSIM_AUDIT shadow model (null when auditing is compiled out)
   std::unique_ptr<ssd::KvLogAudit> log_audit_;
-
-  ssd::FtlStats stats_;
 };
 
 }  // namespace kvsim::kvftl

@@ -8,10 +8,15 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "blockftl/block_ftl.h"
+#include "common/rng.h"
+#include "flash/controller.h"
 #include "harness/report.h"
 #include "harness/runner.h"
 #include "harness/stacks.h"
+#include "kvftl/kv_ftl.h"
 
 namespace kvsim::harness {
 namespace {
@@ -470,3 +475,155 @@ INSTANTIATE_TEST_SUITE_P(AllBeds, RetryBudgetEndToEnd,
 
 }  // namespace
 }  // namespace kvsim::harness
+
+// --- block conservation on both firmwares ---------------------------------
+
+namespace kvsim::ssd {
+struct BlockLogAccess {
+  template <typename Ftl>
+  static const BlockLog& of(const Ftl& ftl) {
+    return ftl.log_;
+  }
+};
+}  // namespace kvsim::ssd
+
+namespace kvsim {
+namespace {
+
+/// Delegates every draw to the armed injector and remembers the blocks
+/// that failed an erase: a later program or erase of one of them means
+/// the firmware handed a retired block out again.
+class EraseFailWatch final : public flash::FaultModel {
+ public:
+  EraseFailWatch(flash::FaultModel& inner, const flash::FlashGeometry& geom)
+      : inner_(inner), geom_(geom), failed_(geom.total_blocks(), 0) {}
+
+  flash::ReadFault on_read(flash::PageId p) override {
+    return inner_.on_read(p);
+  }
+  flash::ProgramFault on_program(flash::PageId first, u32 count) override {
+    reuses += failed_[geom_.block_of_page(first)];
+    return inner_.on_program(first, count);
+  }
+  flash::EraseFault on_erase(flash::BlockId b) override {
+    reuses += failed_[b];
+    const flash::EraseFault f = inner_.on_erase(b);
+    if (f.fail) {
+      failed_[b] = 1;
+      ++erase_fails;
+    }
+    return f;
+  }
+  [[nodiscard]] TimeNs op_deadline_ns() const override {
+    return inner_.op_deadline_ns();
+  }
+  [[nodiscard]] bool failed(flash::BlockId b) const { return failed_[b] != 0; }
+
+  u64 reuses = 0;
+  u64 erase_fails = 0;
+
+ private:
+  flash::FaultModel& inner_;
+  flash::FlashGeometry geom_;
+  std::vector<u8> failed_;
+};
+
+// Churn over a working set of about half the device, with deletes or
+// TRIMs, so GC runs many cycles and fully-invalid blocks appear.
+struct KvChurn {
+  using Ftl = kvftl::KvFtl;
+  static std::unique_ptr<Ftl> make(sim::EventQueue& eq,
+                                   flash::FlashController& flash,
+                                   const ssd::SsdConfig& dev) {
+    return std::make_unique<Ftl>(eq, flash, dev, kvftl::KvFtlConfig{});
+  }
+  static void op(Ftl& ftl, Rng& rng, u64 i, u64& completed) {
+    const std::string key = "key" + std::to_string(rng.next() % 20000);
+    auto done = [&completed](Status) { ++completed; };
+    if (rng.next() % 5 == 0) {
+      ftl.remove(key, done);
+    } else {
+      ftl.store(key, ValueDesc{64 * KiB, i}, done);
+    }
+  }
+};
+
+struct BlockChurn {
+  using Ftl = blockftl::BlockFtl;
+  static std::unique_ptr<Ftl> make(sim::EventQueue& eq,
+                                   flash::FlashController& flash,
+                                   const ssd::SsdConfig& dev) {
+    return std::make_unique<Ftl>(eq, flash, dev, blockftl::BlockFtlConfig{});
+  }
+  static void op(Ftl& ftl, Rng& rng, u64 i, u64& completed) {
+    constexpr u32 kBytes = 128 * KiB;
+    const Lba lba = (rng.next() % 15000) * (kBytes / 512);
+    auto done = [&completed](Status) { ++completed; };
+    if (rng.next() % 10 == 0) {
+      ftl.trim(lba, kBytes, done);
+    } else {
+      ftl.write(lba, kBytes, i, done);
+    }
+  }
+};
+
+template <typename Churn>
+class BlockConservation : public ::testing::Test {};
+using Firmwares = ::testing::Types<KvChurn, BlockChurn>;
+TYPED_TEST_SUITE(BlockConservation, Firmwares);
+
+TYPED_TEST(BlockConservation, EveryBlockAccountedAndRetiredBlocksStayOut) {
+  const ssd::SsdConfig dev = ssd::SsdConfig::small_device();
+  sim::EventQueue eq;
+  flash::FlashController flash(eq, dev.geometry, dev.timing);
+  auto ftl = TypeParam::make(eq, flash, dev);
+  ssd::FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 15;
+  plan.program_fail_prob = 0.001;
+  plan.erase_fail_prob = 0.05;
+  ftl->set_fault_plan(plan);
+  EraseFailWatch watch(*flash.faults(), dev.geometry);
+  flash.set_faults(&watch);
+
+  Rng rng(7);
+  constexpr u64 kOps = 60000;
+  u64 issued = 0, completed = 0;
+  while (issued < kOps) {
+    for (int k = 0; k < 32 && issued < kOps; ++k, ++issued)
+      TypeParam::op(*ftl, rng, issued, completed);
+    eq.run();
+  }
+  bool flushed = false;
+  ftl->flush([&flushed] { flushed = true; });
+  eq.run();
+  ASSERT_TRUE(flushed);
+  EXPECT_EQ(completed, kOps);
+
+  // The plan fired on both fault classes, and GC erased blocks.
+  const ssd::FtlStats& st = ftl->stats();
+  EXPECT_GT(st.program_failures, 0u);
+  EXPECT_GT(watch.erase_fails, 0u);
+  EXPECT_GT(st.gc_runs, 0u);
+
+  const ssd::BlockLog& log = ssd::BlockLogAccess::of(*ftl);
+  const u64 total = dev.geometry.total_blocks();
+  std::vector<u64> count(ssd::BlockLog::kBad + 1, 0);
+  for (flash::BlockId b = 0; b < total; ++b) {
+    ASSERT_LE(log.state(b), ssd::BlockLog::kBad) << "block " << b;
+    ++count[log.state(b)];
+    if (watch.failed(b))
+      EXPECT_EQ(log.state(b), ssd::BlockLog::kBad) << "block " << b;
+  }
+  u64 sum = 0;
+  for (u64 c : count) sum += c;
+  EXPECT_EQ(sum, total);
+  EXPECT_EQ(count[ssd::BlockLog::kErasing], 0u);  // drained
+  EXPECT_EQ(count[ssd::BlockLog::kFree], ftl->free_blocks());
+  EXPECT_EQ(count[ssd::BlockLog::kBad], st.grown_bad_blocks);
+  EXPECT_EQ(watch.reuses, 0u);
+  flash.set_faults(nullptr);
+}
+
+}  // namespace
+}  // namespace kvsim

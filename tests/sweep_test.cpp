@@ -133,6 +133,50 @@ TEST(SweepRunner, MixCellsThreadCountInvariance) {
   EXPECT_EQ(j1, j4);
 }
 
+// A mix cell with an urgent tenant: its MixResult carries urgent_fetches,
+// which the merged document must keep like every other mix field.
+MixResult run_urgent_mix_cell(u64 seed) {
+  wl::TenantMix mix;
+  for (u32 i = 0; i < 2; ++i) {
+    wl::TenantSpec t;
+    t.nsid = (u8)(i + 1);
+    t.queue = i;
+    t.urgent = i == 1;
+    t.spec.num_ops = 600;
+    t.spec.key_space = 1000;
+    t.spec.key_bytes = 16;
+    t.spec.value_bytes = 1024;
+    t.spec.mix = {0.2, 0.3, 0.5, 0};
+    t.spec.queue_depth = 16;
+    t.spec.seed = seed + i;
+    mix.tenants.push_back(std::move(t));
+  }
+  KvssdBedConfig c;
+  c.dev = tiny_dev();
+  c.nvme.num_queues = 2;
+  c.nvme.urgent_queues = mix.urgent_queues();
+  KvssdBed bed(c);
+  (void)fill_stack(bed, 1000, 16, 1024, 32);
+  return run_mix(bed, mix, {.drain_after = true});
+}
+
+TEST(SweepRunner, MixCellKeepsEveryMixResultField) {
+  const MixResult direct = run_urgent_mix_cell(7);
+  ASSERT_GT(direct.urgent_fetches, 0u);
+  BenchReport want("sweep_test");
+  want.add_mix("urgent", direct);
+
+  std::vector<SweepCell> cells;
+  cells.push_back(
+      sweep_mix_cell("urgent", [] { return run_urgent_mix_cell(7); }));
+  SweepRunner runner(SweepRunner::Options{.threads = 1});
+  BenchReport got("sweep_test");
+  add_sweep_results(got, runner.run(std::move(cells)));
+
+  EXPECT_NE(got.to_json().find("\"urgent_fetches\""), std::string::npos);
+  EXPECT_EQ(got.to_json(), want.to_json());
+}
+
 // Trace-replay cells: every cell replays the same captured op stream
 // (a shared read-only buffer) through a privately built bed, via the
 // sweep_source_cell thread boundary. The merged document must stay
