@@ -27,6 +27,9 @@
 #   6. the sweep smoke: the fig-matrix driver fanned across an
 #      8-thread SweepRunner pool, shape-checking that the merged JSON is
 #      byte-identical to the single-thread pass;
+#   6b. the cache-path shape smoke: bench_fig3_index_occupancy (index
+#      segment cache spilling to flash) and bench_ablation_design (the
+#      KV blob cache turned on), shape-checked on the release build;
 #   7. the simulation-core perf smoke (scripts/bench.sh --smoke), failing
 #      on >20% events/sec regression vs the committed BENCH_sim.json (and
 #      on sweep-scaling regression vs its committed baseline);
@@ -117,6 +120,15 @@ stage "sweep smoke"
 # BenchReport JSON is byte-identical (scheduling must be invisible).
 cmake --build build -j "$(nproc)" --target bench_fig_matrix
 ./build/bench/bench_fig_matrix --smoke --threads=8
+
+stage "cache-path shape smoke"
+# The only benches that push the KV-FTL index segment cache into flash
+# spill (Fig. 3) and that turn the KV blob cache on (ablation A6); each
+# exits nonzero when a shape check fails.
+cmake --build build -j "$(nproc)" --target bench_fig3_index_occupancy \
+  bench_ablation_design
+./build/bench/bench_fig3_index_occupancy
+./build/bench/bench_ablation_design
 
 stage "bench smoke"
 scripts/bench.sh --smoke

@@ -32,7 +32,8 @@ BlockFtl::BlockFtl(sim::EventQueue& eq, flash::FlashController& flash,
       cfg_(cfg),
       log_(eq, flash, dev, stats_,
            [this](flash::PageId p) { on_program_fail(p); }),
-      dispatch_ns_(dev.firmware_dispatch_ns) {
+      dispatch_ns_(dev.firmware_dispatch_ns),
+      cache_(cfg.read_cache_pages) {
   validate_block_cfg(dev, cfg_);
   const u64 total_slots = geom_.total_pages() * slots_per_page();
   total_slots_exported_ =
@@ -81,7 +82,7 @@ void BlockFtl::write(Lba lba, u32 bytes, u64 fp_base, Done done) {
   auto need_rmw = [&](u64 lpn) {
     if (map_[lpn] == kUnmapped) return;
     const flash::PageId p = map_[lpn] / slots_per_page();
-    if (!cache_contains(p) && !log_.buffered(p)) rmw_pages.insert(p);
+    if (!cache_.contains(p) && !log_.buffered(p)) rmw_pages.insert(p);
   };
   if (start % lp != 0) need_rmw(first);
   if (end % lp != 0) need_rmw(last);
@@ -259,18 +260,18 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
     fp ^= content_[gsi];
     const flash::PageId p = gsi / slots_per_page();
     ++cache_lookups_;
-    if (cache_contains(p) || log_.buffered(p)) {
+    if (cache_.touch(p) || log_.buffered(p)) {
       ++cache_hits_;
       cpu += cfg_.cache_hit_ns;
-      touch_cache(p);
     } else {
       miss_pages[p] += (u32)lp;
     }
   }
   const TimeNs cpu_done = ftl_core_.reserve(eq_.now(), cpu);
 
-  // Miss pages batch into one die-op: one completion event feeds the DRAM
-  // cache (in issue order) and releases the host command.
+  // Miss pages batch into one die-op: one completion event releases the
+  // host command and, if the read succeeded, feeds the DRAM cache (in
+  // issue order; a page already resident is promoted).
   std::vector<flash::PageRead> reads;
   reads.reserve(miss_pages.size());
   for (auto [p, b] : miss_pages) reads.push_back(flash::PageRead{p, b});
@@ -287,7 +288,6 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
         reads.data(), (u32)reads.size(),
         [this, join, fetched = std::move(fetched)](flash::OpStatus st,
                                                    flash::PageId bad) {
-          for (flash::PageId p : fetched) cache_insert(p);
           Status s = Status::kOk;
           if (st == flash::OpStatus::kUncorrectable) {
             s = Status::kMediaError;
@@ -295,6 +295,9 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
           } else if (st == flash::OpStatus::kTimeout) {
             s = Status::kTimeout;
             ++stats_.op_timeouts;
+          } else {
+            for (flash::PageId p : fetched)
+              if (!cache_.touch(p)) cache_.insert(p);
           }
           join->arrive(s);
         });
@@ -304,34 +307,11 @@ void BlockFtl::read(Lba lba, u32 bytes, ReadDone done) {
     maybe_readahead(last + 1);
 }
 
-bool BlockFtl::cache_contains(flash::PageId p) const {
-  return cache_map_.count(p) != 0;
-}
-
-void BlockFtl::touch_cache(flash::PageId p) {
-  auto it = cache_map_.find(p);
-  if (it == cache_map_.end()) return;
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-}
-
-void BlockFtl::cache_insert(flash::PageId p) {
-  if (cache_contains(p)) {
-    touch_cache(p);
-    return;
-  }
-  cache_lru_.push_front(p);
-  cache_map_[p] = cache_lru_.begin();
-  while (cache_lru_.size() > cfg_.read_cache_pages) {
-    cache_map_.erase(cache_lru_.back());
-    cache_lru_.pop_back();
-  }
-}
-
 void BlockFtl::maybe_readahead(u64 next_lpn) {
   if (next_lpn >= map_.size() || map_[next_lpn] == kUnmapped) return;
   const flash::PageId p = map_[next_lpn] / slots_per_page();
-  if (cache_contains(p) || log_.buffered(p)) return;
-  cache_insert(p);  // reserve the slot up-front so we don't double-fetch
+  if (cache_.contains(p) || log_.buffered(p)) return;
+  cache_.insert(p);  // reserve the slot up-front so we don't double-fetch
   flash_.read_page(p, geom_.page_bytes, [] {});
 }
 
@@ -507,8 +487,7 @@ void BlockFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   wp_rr_ = 0;
   seq_wp_ = 0;
   recovery_starved_.clear();
-  cache_lru_.clear();
-  cache_map_.clear();
+  cache_.clear();
   gc_running_ = false;
   gc_stuck_ = false;
   gc_futile_streak_ = 0;

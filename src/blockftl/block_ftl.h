@@ -20,10 +20,8 @@
 #pragma once
 
 #include <deque>
-#include <list>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "flash/controller.h"
@@ -34,6 +32,7 @@
 #include "ssd/config.h"
 #include "ssd/stats.h"
 
+#include "common/lru.h"
 #include "common/thread_annotations.h"
 
 namespace kvsim::blockftl {
@@ -205,9 +204,6 @@ class BlockFtl {
   void invalidate(u64 lpn, bool fresh_garbage);
 
   // --- read path ---
-  [[nodiscard]] bool cache_contains(flash::PageId p) const;
-  void touch_cache(flash::PageId p);
-  void cache_insert(flash::PageId p);
   void maybe_readahead(u64 next_lpn);
 
   // --- garbage collection ---
@@ -258,9 +254,7 @@ class BlockFtl {
   u32 read_streak_ = 0;
 
   // DRAM read cache (LRU over flash page ids)
-  std::list<flash::PageId> cache_lru_;
-  std::unordered_map<flash::PageId, std::list<flash::PageId>::iterator>
-      cache_map_;
+  LruCache<flash::PageId> cache_;
   u64 cache_hits_ = 0;
   u64 cache_lookups_ = 0;
 

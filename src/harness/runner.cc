@@ -462,7 +462,6 @@ MixResult run_mix(KvStack& stack, const wl::TenantMix& mix,
         st.arrival_pending = false;
       }
       drv.backlog_total = 0;
-      if (!opts.resume_after_crash) break;
       drv.issue_all();
     }
   }

@@ -49,10 +49,8 @@ struct RunOptions {
   /// completions die with the event queue — then mount-time recovery runs
   /// on the stack's clock (KvStack::simulate_crash) and its counters land
   /// in RunResult::recovery. At most one cut per run.
+  /// The rest of the workload is then issued against the recovered stack.
   u64 crash_after_events = 0;
-  /// Issue the rest of the workload against the recovered stack after the
-  /// cut (off = stop the run at the crash point).
-  bool resume_after_crash = true;
   /// Capture the op stream: every op is appended to this `.kvt` writer at
   /// dispatch (issue order, with its tenant index), before any completion
   /// can reorder — so replaying the capture through TraceOpSource

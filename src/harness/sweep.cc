@@ -31,12 +31,14 @@ void SweepRunner::worker(Shared& sh) {
     try {
       // The callable constructs, drives, and destroys its private
       // simulator; only the plain-data result crosses back.
+      SweepCellResult out{.label = cell.label};
       if (cell.run_mix) {
-        (*sh.results)[index] = SweepCellResult{
-            .label = cell.label, .is_mix = true, .mix = cell.run_mix()};
+        out.is_mix = true;
+        out.mix = cell.run_mix();
       } else {
-        (*sh.results)[index] = SweepCellResult{cell.label, cell.run()};
+        out.result = cell.run();
       }
+      (*sh.results)[index] = std::move(out);
     } catch (...) {
       MutexLock lk(sh.mu);
       // Keep the lowest-indexed failure so the rethrown exception does

@@ -1,14 +1,14 @@
 #include "kvftl/index_model.h"
 
+#include <algorithm>
+
 namespace kvsim::kvftl {
 
 IndexModel::IndexModel(const IndexModelConfig& cfg)
     : cfg_(cfg),
-      cache_capacity_(cfg.dram_bytes / cfg.segment_bytes),
       segments_(cfg.initial_segments),
-      level_base_(cfg.initial_segments) {
-  if (cache_capacity_ == 0) cache_capacity_ = 1;
-}
+      level_base_(cfg.initial_segments),
+      cache_(std::max<u64>(1, cfg.dram_bytes / cfg.segment_bytes)) {}
 
 u64 IndexModel::segment_of(u64 khash) const {
   const u64 h = mix64(khash);
@@ -17,15 +17,22 @@ u64 IndexModel::segment_of(u64 khash) const {
   return seg;
 }
 
+namespace {
+/// on_evict for the segment cache: a dirty victim is written back.
+auto write_back(IndexCost& cost) {
+  return [&cost](u64, bool dirty) {
+    if (dirty) ++cost.segment_writes;
+  };
+}
+}  // namespace
+
 IndexCost IndexModel::touch(u64 seg, bool dirty) {
   IndexCost cost;
   ++touches_;
-  auto it = cache_.find(seg);
-  if (it != cache_.end()) {
+  if (bool* resident_dirty = cache_.touch(seg)) {
     ++hits_;
     cost.dram_hit = true;
-    it->second->dirty |= dirty;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    *resident_dirty |= dirty;
     return cost;
   }
   // Fault the segment in from flash. Past the first spill factor the
@@ -33,34 +40,19 @@ IndexCost IndexModel::touch(u64 seg, bool dirty) {
   // deepens (serial reads).
   cost.segment_reads = 1;
   const u64 f = cfg_.level_spill_factor;
-  if (f && segments_ > cache_capacity_ * f) ++cost.segment_reads;
-  if (f && segments_ > cache_capacity_ * f * f * 8) ++cost.segment_reads;
-  lru_.push_front(CacheEntry{seg, dirty});
-  cache_[seg] = lru_.begin();
-  while (lru_.size() > cache_capacity_) {
-    const CacheEntry& victim = lru_.back();
-    if (victim.dirty) ++cost.segment_writes;
-    cache_.erase(victim.seg);
-    lru_.pop_back();
-  }
+  const u64 cap = cache_.capacity();
+  if (f && segments_ > cap * f) ++cost.segment_reads;
+  if (f && segments_ > cap * f * f * 8) ++cost.segment_reads;
+  cache_.insert(seg, dirty, 1, write_back(cost));
   return cost;
 }
 
 void IndexModel::install(u64 seg, IndexCost& cost) {
-  auto it = cache_.find(seg);
-  if (it != cache_.end()) {
-    it->second->dirty = true;
-    lru_.splice(lru_.begin(), lru_, it->second);
+  if (bool* resident_dirty = cache_.touch(seg)) {
+    *resident_dirty = true;
     return;
   }
-  lru_.push_front(CacheEntry{seg, true});
-  cache_[seg] = lru_.begin();
-  while (lru_.size() > cache_capacity_) {
-    const CacheEntry& victim = lru_.back();
-    if (victim.dirty) ++cost.segment_writes;
-    cache_.erase(victim.seg);
-    lru_.pop_back();
-  }
+  cache_.insert(seg, true, 1, write_back(cost));
 }
 
 void IndexModel::maybe_split(IndexCost& cost) {
@@ -98,9 +90,8 @@ IndexCost IndexModel::on_update(u64 khash) {
 
 IndexCost IndexModel::on_relocate(u64 khash) {
   IndexCost cost;
-  auto it = cache_.find(segment_of(khash));
-  if (it != cache_.end()) {
-    it->second->dirty = true;  // resident: fold into its write-back
+  if (bool* dirty = cache_.peek(segment_of(khash))) {
+    *dirty = true;  // resident: fold into its write-back
   } else {
     cost.segment_writes = 1;  // uncached: append a relocation delta
   }

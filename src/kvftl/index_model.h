@@ -14,11 +14,8 @@
 // caller (KvFtl) turns the returned IndexCost into real flash operations.
 #pragma once
 
-#include <list>
-#include <unordered_map>
-#include <vector>
-
 #include "common/hash.h"
+#include "common/lru.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
 
@@ -70,8 +67,10 @@ class IndexModel {
 
   [[nodiscard]] u64 entries() const { return entries_; }
   [[nodiscard]] u64 segments() const { return segments_; }
-  [[nodiscard]] u64 cached_segments() const { return lru_.size(); }
-  [[nodiscard]] u64 cache_capacity_segments() const { return cache_capacity_; }
+  [[nodiscard]] u64 cached_segments() const { return cache_.size(); }
+  [[nodiscard]] u64 cache_capacity_segments() const {
+    return cache_.capacity();
+  }
   /// Total index footprint on flash, for space-amplification accounting.
   [[nodiscard]] u64 flash_bytes() const {
     return segments_ * cfg_.segment_bytes;
@@ -94,20 +93,14 @@ class IndexModel {
   void maybe_split(IndexCost& cost);
 
   IndexModelConfig cfg_;
-  u64 cache_capacity_;
 
   u64 entries_ = 0;
   u64 segments_;
   u64 level_base_;   // number of segments when this doubling round started
   u64 split_ptr_ = 0;
 
-  // LRU cache over segment ids, with dirty flags.
-  struct CacheEntry {
-    u64 seg;
-    bool dirty;
-  };
-  std::list<CacheEntry> lru_;
-  std::unordered_map<u64, std::list<CacheEntry>::iterator> cache_;
+  // LRU cache over segment ids; the value is the segment's dirty flag.
+  LruCache<u64, bool> cache_;
 
   u64 touches_ = 0;
   u64 hits_ = 0;

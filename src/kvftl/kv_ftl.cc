@@ -41,10 +41,11 @@ KvFtl::KvFtl(sim::EventQueue& eq, flash::FlashController& flash,
       index_(cfg.index),
       bloom_(cfg.expected_keys_hint),
       iters_(cfg.track_iterator_keys),
-      recs_(dev.geometry.total_blocks()) {
+      recs_(dev.geometry.total_blocks()),
+      rcache_(cfg.read_cache_bytes) {
   validate_kv_cfg(dev, cfg_);
-  const u32 nlanes = cfg_.lanes ? cfg_.lanes : (u32)geom_.total_dies();
-  lanes_.resize(std::max(nlanes, cfg_.write_streams));
+  // One open log page per die, and at least one per write stream.
+  lanes_.resize(std::max((u32)geom_.total_dies(), cfg_.write_streams));
   stream_rr_.assign(std::max<u32>(1, cfg_.write_streams), 0);
   gc_lanes_.resize(std::max<u32>(1, cfg_.gc_lanes));
   if (cfg_.crash_tracking) flash_.set_crash_tracking(true);
@@ -204,7 +205,7 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
         const bool was_new = blob.gen == 0;
         if (!was_new) {
           invalidate_blob(blob);
-          read_cache_evict(khash);
+          rcache_.erase(khash);
         } else {
           bloom_.insert(khash);
           iters_.add(key_copy, nsid);
@@ -307,11 +308,7 @@ bool KvFtl::place_chunk(u64 khash, u8 chunk_idx, u16 slot_count, bool is_gc,
             br.key_bytes});
   }
 
-  if (lane.used_slots == cfg_.page_data_slots) {
-    seal_page(lane, is_gc);
-  } else if (!is_gc) {
-    arm_flush_timer(lane);
-  }
+  if (lane.used_slots == cfg_.page_data_slots) seal_page(lane, is_gc);
   return true;
 }
 
@@ -336,7 +333,6 @@ void KvFtl::seal_page(Lane& lane, bool is_gc) {
   }
   lane.used_slots = 0;
   lane.buffered_bytes = 0;
-  ++lane.flush_arm;
   if (++lane.next_page == geom_.pages_per_block) {
     log_.seal(*lane.block);
     lane.block.reset();
@@ -348,17 +344,6 @@ void KvFtl::seal_page(Lane& lane, bool is_gc) {
   const TimeNs t_pack = packer_.reserve(eq_.now(), cfg_.pack_page_ns);
   eq_.schedule_at(t_pack, [this, page, host_bytes, is_gc] {
     log_.program(page, host_bytes, is_gc);
-  });
-}
-
-void KvFtl::arm_flush_timer(Lane& lane) {
-  if (cfg_.partial_flush_ns == 0) return;  // hold until full or flush()
-  const u64 arm = ++lane.flush_arm;
-  eq_.schedule_after(cfg_.partial_flush_ns, [this, &lane, arm] {
-    if (lane.flush_arm == arm && lane.block && lane.used_slots > 0) {
-      waste_slots_ += cfg_.page_data_slots - lane.used_slots;
-      seal_page(lane, false);
-    }
   });
 }
 
@@ -379,39 +364,6 @@ void KvFtl::invalidate_blob(BlobRec& blob) {
   app_bytes_live_ -=
       std::min<u64>(app_bytes_live_, (u64)blob.value_bytes + blob.key_bytes);
   blob.chunks.clear();
-}
-
-// ---------------------------------------------------------------------------
-// Optional blob read cache
-// ---------------------------------------------------------------------------
-
-bool KvFtl::read_cache_lookup(u64 khash, u32) {
-  if (cfg_.read_cache_bytes == 0) return false;
-  auto it = rcache_map_.find(khash);
-  if (it == rcache_map_.end()) return false;
-  rcache_lru_.splice(rcache_lru_.begin(), rcache_lru_, it->second);
-  ++read_cache_hits_;
-  return true;
-}
-
-void KvFtl::read_cache_insert(u64 khash, u32 value_bytes) {
-  if (cfg_.read_cache_bytes == 0 || rcache_map_.count(khash)) return;
-  rcache_lru_.emplace_front(khash, value_bytes);
-  rcache_map_[khash] = rcache_lru_.begin();
-  rcache_bytes_ += value_bytes;
-  while (rcache_bytes_ > cfg_.read_cache_bytes && !rcache_lru_.empty()) {
-    rcache_bytes_ -= rcache_lru_.back().second;
-    rcache_map_.erase(rcache_lru_.back().first);
-    rcache_lru_.pop_back();
-  }
-}
-
-void KvFtl::read_cache_evict(u64 khash) {
-  auto it = rcache_map_.find(khash);
-  if (it == rcache_map_.end()) return;
-  rcache_bytes_ -= it->second->second;
-  rcache_lru_.erase(it->second);
-  rcache_map_.erase(it);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,7 +402,8 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
   const ValueDesc out{blob.value_bytes, blob.vfp};
   stats_.host_bytes_read += blob.value_bytes;
 
-  if (read_cache_lookup(khash, blob.value_bytes)) {
+  if (rcache_.touch(khash)) {
+    ++read_cache_hits_;
     eq_.schedule_at(t_mgr + cfg_.cache_hit_ns,
                     [out, done = std::move(done)]() mutable {
                       done(Status::kOk, out);
@@ -480,7 +433,7 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
   auto join = sim::make_status_latch(
       1 + (int)ic.segment_reads + (reads.empty() ? 0 : 1) + buffered_chunks,
       [this, khash, out, done = std::move(done)](Status st) mutable {
-        if (st == Status::kOk) read_cache_insert(khash, out.size);
+        if (st == Status::kOk) rcache_.insert(khash, {}, out.size);
         done(st, out);
       });
   eq_.schedule_at(t_mgr, [join] { join->arrive(); });
@@ -527,7 +480,7 @@ void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
 
   const IndexCost ic = index_.on_remove(khash);
   invalidate_blob(it->second);
-  read_cache_evict(khash);
+  rcache_.erase(khash);
   blob_table_.erase(it);
   bloom_.remove(khash);
   iters_.remove(key, nsid);
@@ -863,9 +816,7 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   gc_running_ = false;
   gc_stuck_ = false;
   gc_futile_streak_ = 0;
-  rcache_lru_.clear();
-  rcache_map_.clear();
-  rcache_bytes_ = 0;
+  rcache_.clear();
   blob_table_.clear();
   for (auto& recs : recs_) recs.clear();
   live_slots_ = 0;
@@ -1085,7 +1036,6 @@ void KvFtl::close_lane(Lane& lane, flash::BlockId b, bool is_gc) {
   lane.used_slots = 0;
   lane.buffered_bytes = 0;
   lane.staged.clear();  // the open page will never program
-  ++lane.flush_arm;  // cancel any pending partial-flush timer
   lane.block.reset();
   // The open page will never program; re-drive its chunks after the lane
   // has let go of the block so placement cannot target it again.

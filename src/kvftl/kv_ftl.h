@@ -24,7 +24,6 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -44,6 +43,7 @@
 #include "ssd/config.h"
 #include "ssd/stats.h"
 
+#include "common/lru.h"
 #include "common/thread_annotations.h"
 
 namespace kvsim::kvftl {
@@ -72,7 +72,6 @@ struct KvFtlConfig {
   /// hammer single dies in Fig. 2c). 0 disables.
   u64 read_cache_bytes = 0;
 
-  u32 lanes = 0;                ///< open log pages (0 = one per die)
   /// Write streams (extension; paper Sec. IV observes the KV command set
   /// carries no hotness metadata). Stores tagged with different streams
   /// pack into disjoint lane groups, so hot and cold data never share an
@@ -81,7 +80,6 @@ struct KvFtlConfig {
   u32 gc_lanes = 8;
   bool track_iterator_keys = true;
   double capacity_guard = 0.98;  ///< reject stores past this slot fraction
-  TimeNs partial_flush_ns = 0;  // 0 = hold partial pages until full/flush
 
   /// Maintain per-page OOB metadata for the power-loss crash/recovery
   /// model (see power_fail_and_recover). Off by default: the store path
@@ -238,7 +236,6 @@ class KvFtl {
     u32 next_page = 0;
     u32 used_slots = 0;       // slots appended to the open page
     u64 buffered_bytes = 0;   // host bytes awaiting this page's program
-    u64 flush_arm = 0;
     // Crash tracking: OOB blob descriptors of the open page, captured at
     // placement time. Handed to the controller at seal.
     std::vector<flash::OobEntry> staged;
@@ -258,7 +255,6 @@ class KvFtl {
                    u8 stream);
   bool ensure_block(Lane& lane, bool is_gc);
   void seal_page(Lane& lane, bool is_gc);
-  void arm_flush_timer(Lane& lane);
   void invalidate_blob(BlobRec& blob);
 
   // --- index flash traffic ---
@@ -339,14 +335,8 @@ class KvFtl {
   u64 bloom_fast_negatives_ = 0;
   std::array<u64, 256> ns_kvp_counts_{};
 
-  // optional blob read cache (LRU over khash, bytes-bounded)
-  bool read_cache_lookup(u64 khash, u32 value_bytes);
-  void read_cache_insert(u64 khash, u32 value_bytes);
-  void read_cache_evict(u64 khash);
-  std::list<std::pair<u64, u32>> rcache_lru_;
-  std::unordered_map<u64, std::list<std::pair<u64, u32>>::iterator>
-      rcache_map_;
-  u64 rcache_bytes_ = 0;
+  // optional blob read cache (LRU over khash, weighed in value bytes)
+  LruCache<u64> rcache_;
   u64 read_cache_hits_ = 0;
 
   // Chunks whose recovery re-placement is waiting for a free block.

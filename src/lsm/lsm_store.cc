@@ -20,7 +20,7 @@ LsmStore::LsmStore(sim::EventQueue& eq, fs::FileSystem& fs,
       cfg_(cfg),
       levels_(cfg.num_levels),
       compact_rr_(cfg.num_levels, 0),
-      cache_capacity_blocks_(cfg.block_cache_bytes / cfg.data_block_bytes) {
+      cache_(cfg.block_cache_bytes / cfg.data_block_bytes) {
   wal_file_ = fs_.create("wal-0");
   if (cfg_.crash_tracking) wal_ledger_.file = wal_file_;
 }
@@ -50,8 +50,8 @@ void LsmStore::do_write(std::string_view key, ValueDesc value, bool tombstone,
         PendingWrite{std::string(key), value, tombstone, std::move(done)});
     return;
   }
-  TimeNs cost = cfg_.api_ns + cfg_.memtable_insert_ns;
-  if (cfg_.wal_enabled) cost += cfg_.wal_append_ns;
+  const TimeNs cost =
+      cfg_.api_ns + cfg_.memtable_insert_ns + cfg_.wal_append_ns;
   cpu_ns_ += cost;
   const TimeNs t_cpu = fg_cpu_.reserve(eq_.now(), cost);
 
@@ -67,25 +67,23 @@ void LsmStore::do_write(std::string_view key, ValueDesc value, bool tombstone,
 
   bool wal_io = false;
   u64 wal_chunk = 0;
-  if (cfg_.wal_enabled) {
-    if (cfg_.crash_tracking)
-      wal_ledger_.buffered.push_back(
-          WalRecord{std::string(key), value, tombstone, seq_});
-    wal_buffer_bytes_ += key.size() + value.size + 12;
-    if (wal_buffer_bytes_ >= 4 * KiB) {
-      wal_chunk = wal_buffer_bytes_;
-      wal_buffer_bytes_ = 0;
-      wal_total_bytes_ += wal_chunk;
-      wal_seg_bytes_ += wal_chunk;
-      wal_io = true;
-      if (cfg_.crash_tracking) {
-        const u64 bb = fs_.block_bytes();
-        const u64 blocks = (wal_chunk + bb - 1) / bb;
-        wal_ledger_.chunks.push_back(WalChunk{
-            wal_ledger_.next_block, blocks, std::move(wal_ledger_.buffered)});
-        wal_ledger_.buffered.clear();
-        wal_ledger_.next_block += blocks;
-      }
+  if (cfg_.crash_tracking)
+    wal_ledger_.buffered.push_back(
+        WalRecord{std::string(key), value, tombstone, seq_});
+  wal_buffer_bytes_ += key.size() + value.size + 12;
+  if (wal_buffer_bytes_ >= 4 * KiB) {
+    wal_chunk = wal_buffer_bytes_;
+    wal_buffer_bytes_ = 0;
+    wal_total_bytes_ += wal_chunk;
+    wal_seg_bytes_ += wal_chunk;
+    wal_io = true;
+    if (cfg_.crash_tracking) {
+      const u64 bb = fs_.block_bytes();
+      const u64 blocks = (wal_chunk + bb - 1) / bb;
+      wal_ledger_.chunks.push_back(WalChunk{
+          wal_ledger_.next_block, blocks, std::move(wal_ledger_.buffered)});
+      wal_ledger_.buffered.clear();
+      wal_ledger_.next_block += blocks;
     }
   }
 
@@ -116,21 +114,19 @@ void LsmStore::rotate_memtable() {
   memtable_.clear();
   mt_bytes_ = 0;
   // Start a fresh WAL segment; the old one dies when the flush lands.
-  if (cfg_.wal_enabled) {
-    rotated_wal_ = wal_file_;
-    char name[32];
-    std::snprintf(name, sizeof(name), "wal-%llu",
-                  (unsigned long long)++wal_gen_);
-    wal_file_ = fs_.create(name);
-    wal_buffer_bytes_ = 0;
-    if (cfg_.crash_tracking) {
-      // Records still in the group-commit buffer stay with the archived
-      // segment as its unflushed tail: acked, never WAL'd, durable only
-      // if the flush's SST makes it to flash.
-      archived_wals_.push_back(std::move(wal_ledger_));
-      wal_ledger_ = WalLedger{};
-      wal_ledger_.file = wal_file_;
-    }
+  rotated_wal_ = wal_file_;
+  char name[32];
+  std::snprintf(name, sizeof(name), "wal-%llu",
+                (unsigned long long)++wal_gen_);
+  wal_file_ = fs_.create(name);
+  wal_buffer_bytes_ = 0;
+  if (cfg_.crash_tracking) {
+    // Records still in the group-commit buffer stay with the archived
+    // segment as its unflushed tail: acked, never WAL'd, durable only if
+    // the flush's SST makes it to flash.
+    archived_wals_.push_back(std::move(wal_ledger_));
+    wal_ledger_ = WalLedger{};
+    wal_ledger_.file = wal_file_;
   }
   schedule_flush();
 }
@@ -207,8 +203,7 @@ void LsmStore::finish_flush(std::shared_ptr<Sst> sst) {
   // the flush's appends are acked but possibly still in the device write
   // buffer, so dropping the WAL here is exactly the no-fsync data-loss
   // window the crash model exists to expose.
-  if (cfg_.wal_enabled && !cfg_.crash_tracking &&
-      rotated_wal_ != fs::FileSystem::kInvalidHandle) {
+  if (!cfg_.crash_tracking && rotated_wal_ != fs::FileSystem::kInvalidHandle) {
     const auto dead = rotated_wal_;
     rotated_wal_ = fs::FileSystem::kInvalidHandle;
     wal_seg_bytes_ -= std::min(wal_seg_bytes_, fs_.file_bytes(dead));
@@ -555,7 +550,9 @@ void LsmStore::get_from_ssts(std::string key, u64 khash,
   const u64 block_no = sst->offsets[(size_t)i] / cfg_.data_block_bytes;
   const u64 block_key = (sst->id << 24) | (block_no & 0xffffff);
   cpu_ns_ += cfg_.block_parse_ns;
-  if (cache_lookup(block_key)) {
+  ++cache_lookups_;
+  if (cache_.touch(block_key)) {
+    ++cache_hits_;
     eq_.schedule_after(cfg_.block_parse_ns,
                        [s, v, done = std::move(done)]() mutable { done(s, v); });
     return;
@@ -576,32 +573,13 @@ void LsmStore::get_from_ssts(std::string key, u64 khash,
   fs_.read(sst->file, block_no * cfg_.data_block_bytes, read_bytes,
            [this, block_key, s, v, done = std::move(done)](Status rs,
                                                            u64) mutable {
-             cache_insert(block_key);
              if (rs != Status::kOk) {
                done(rs, ValueDesc{});  // media/timeout error trumps hit
-             } else {
-               done(s, v);
+               return;
              }
+             cache_.insert(block_key);  // a failed read caches nothing
+             done(s, v);
            });
-}
-
-bool LsmStore::cache_lookup(u64 block_key) {
-  ++cache_lookups_;
-  auto it = cache_map_.find(block_key);
-  if (it == cache_map_.end()) return false;
-  ++cache_hits_;
-  cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-  return true;
-}
-
-void LsmStore::cache_insert(u64 block_key) {
-  if (cache_map_.count(block_key)) return;
-  cache_lru_.push_front(block_key);
-  cache_map_[block_key] = cache_lru_.begin();
-  while (cache_lru_.size() > cache_capacity_blocks_) {
-    cache_map_.erase(cache_lru_.back());
-    cache_lru_.pop_back();
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -621,8 +599,7 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   draining_ = false;
   quiesce_waiters_.clear();
   wal_buffer_bytes_ = 0;
-  cache_lru_.clear();
-  cache_map_.clear();
+  cache_.clear();
   rotated_wal_ = fs::FileSystem::kInvalidHandle;
   fg_cpu_.power_cycle(now);
   bg_cpu_.power_cycle(now);

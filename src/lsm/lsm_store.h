@@ -17,16 +17,15 @@
 
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lsm/sst.h"
 #include "sim/task.h"
 
+#include "common/lru.h"
 #include "common/thread_annotations.h"
 
 namespace kvsim::lsm {
@@ -42,7 +41,6 @@ struct LsmConfig {
   u32 data_block_bytes = 4 * KiB;
   u64 block_cache_bytes = 10 * MiB;  // the paper's 10 MB block cache
   u32 max_background_compactions = 2;  // parallel compaction jobs
-  bool wal_enabled = true;
   u32 io_chunk_bytes = 1 * MiB;      // compaction/flush I/O granularity
   /// Crash mode: keep a host-side ledger of what each group-committed WAL
   /// chunk contained and archive rotated WAL segments instead of deleting
@@ -163,8 +161,6 @@ class LsmStore {
   void get_from_ssts(std::string key, u64 khash,
                      std::vector<std::shared_ptr<Sst>> candidates, size_t idx,
                      GetDone done, u32 queue);
-  bool cache_lookup(u64 block_key);
-  void cache_insert(u64 block_key);
 
   [[nodiscard]] u64 memtable_bytes(const Memtable& /*mt*/) const {
     return mt_bytes_;
@@ -229,9 +225,7 @@ class LsmStore {
   u64 stall_events_ = 0;
 
   // block cache: LRU over (sst_id << 24 | block_no)
-  std::list<u64> cache_lru_;
-  std::unordered_map<u64, std::list<u64>::iterator> cache_map_;
-  u64 cache_capacity_blocks_;
+  LruCache<u64> cache_;
   u64 cache_hits_ = 0;
   u64 cache_lookups_ = 0;
 

@@ -41,7 +41,6 @@ ModelOutput predict(const ModelInput& in) {
   const u32 slots = kvftl::slots_for_value(in.value_bytes, ftl.slot_bytes);
   const u32 chunks = kvftl::chunks_for_blob(slots, ftl.page_data_slots);
   const double dies = (double)g.total_dies();
-  const double lanes = ftl.lanes ? ftl.lanes : dies;
 
   // Index behavior at this occupancy.
   out.index_miss_prob = index_miss_probability(in);
@@ -102,8 +101,9 @@ ModelOutput predict(const ModelInput& in) {
     const double program_ns =
         xfer_ns(t, g.page_bytes) + (double)t.program_page_ns;
     // Writes acknowledge from the device buffer: programs consume lane
-    // bandwidth (demand) but are off the latency path (residence 0).
-    add("flash-program-lanes", pages_per_op * program_ns * out.waf / lanes,
+    // bandwidth (one lane per die; demand) but are off the latency path
+    // (residence 0).
+    add("flash-program-lanes", pages_per_op * program_ns * out.waf / dies,
         0.0);
     // GC migration also re-reads victims.
     if (out.waf > 1.0)

@@ -99,8 +99,9 @@ struct TelemetrySlice {
 class TelemetryCollector {
  public:
   KVSIM_THREAD_CONFINED;
-  explicit TelemetryCollector(TimeNs interval = 100 * kMs)
-      : interval_(interval ? interval : 100 * kMs) {}
+  TelemetryCollector() = default;
+  explicit TelemetryCollector(TimeNs interval)
+      : interval_(interval ? interval : kDefaultInterval) {}
 
   /// Start collecting at `now` (simulated time becomes slice origin).
   /// Any of the sources may be null; missing sources contribute zeros.
@@ -152,7 +153,8 @@ class TelemetryCollector {
   void catch_up(TimeNs now);
   void close_window(TimeNs rel_end);
 
-  TimeNs interval_;
+  static constexpr TimeNs kDefaultInterval = 100 * kMs;
+  TimeNs interval_ = kDefaultInterval;
   TimeNs origin_ = 0;        ///< absolute time of attach
   TimeNs window_start_ = 0;  ///< relative start of the open window
   bool attached_ = false;

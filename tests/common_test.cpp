@@ -1,5 +1,5 @@
 // Unit tests for common utilities: RNG, Zipf, hashing, histogram,
-// bandwidth tracker, table rendering.
+// bandwidth tracker, table rendering, the LRU cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,10 +7,12 @@
 #include <set>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "common/ascii_plot.h"
 #include "common/hash.h"
 #include "common/histogram.h"
+#include "common/lru.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/timeseries.h"
@@ -305,6 +307,112 @@ TEST(AsciiChart, SinglePointDoesNotDivideByZero) {
   AsciiChart c(30, 6);
   c.add_series("s", {{5, 5}}, '*');
   EXPECT_NE(c.render().find('*'), std::string::npos);
+}
+
+// --- LruCache ----------------------------------------------------------------
+
+TEST(LruCache, TouchPromotesPeekAndContainsDoNot) {
+  LruCache<int, int> c(2);
+  c.insert(1, 10);
+  c.insert(2, 20);
+  ASSERT_NE(c.peek(1), nullptr);
+  EXPECT_EQ(*c.peek(1), 10);
+  EXPECT_TRUE(c.contains(1));
+  c.insert(3, 30);  // 1 is still least recently used
+  EXPECT_FALSE(c.contains(1));
+  ASSERT_NE(c.touch(2), nullptr);  // 2 is now most recently used
+  c.insert(4, 40);
+  EXPECT_TRUE(c.contains(2));
+  EXPECT_FALSE(c.contains(3));
+  EXPECT_EQ(c.touch(3), nullptr);
+  EXPECT_EQ(c.peek(3), nullptr);
+}
+
+TEST(LruCache, InsertOfResidentKeyChangesNothing) {
+  LruCache<int, int> c(2);
+  EXPECT_TRUE(c.insert(1, 10));
+  EXPECT_TRUE(c.insert(2, 20));
+  EXPECT_FALSE(c.insert(1, 99, 5));
+  EXPECT_EQ(*c.peek(1), 10);
+  EXPECT_EQ(c.weight(), 2u);
+  c.insert(3, 30);  // 1 was not promoted, so it goes first
+  EXPECT_FALSE(c.contains(1));
+  EXPECT_TRUE(c.contains(2));
+}
+
+TEST(LruCache, CountBoundEvictsInLruOrderOncePerVictim) {
+  LruCache<int, int> c(3);
+  std::vector<std::pair<int, int>> evicted;
+  auto log = [&evicted](int k, int v) { evicted.emplace_back(k, v); };
+  for (int k = 0; k < 6; ++k) c.insert(k, k * 10, 1, log);
+  const std::vector<std::pair<int, int>> want = {{0, 0}, {1, 10}, {2, 20}};
+  EXPECT_EQ(evicted, want);
+  EXPECT_EQ(c.size(), 3u);
+  EXPECT_EQ(c.weight(), 3u);
+}
+
+TEST(LruCache, WeightBoundEvictsUntilTheNewEntryFits) {
+  LruCache<int> c(100);
+  std::vector<int> evicted;
+  auto log = [&evicted](int k, NoValue) { evicted.push_back(k); };
+  c.insert(1, {}, 40, log);
+  c.insert(2, {}, 40, log);
+  c.insert(3, {}, 10, log);
+  EXPECT_TRUE(evicted.empty());
+  c.insert(4, {}, 50, log);  // 140 > 100: drop 1 (100); 2 stays
+  EXPECT_EQ(evicted, std::vector<int>{1});
+  EXPECT_EQ(c.weight(), 100u);
+  c.touch(2);
+  c.insert(5, {}, 45, log);  // 145: drop 3 (135), then 4 (85)
+  EXPECT_EQ(evicted, (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(c.weight(), 85u);
+  EXPECT_TRUE(c.contains(2));
+  EXPECT_TRUE(c.contains(5));
+}
+
+TEST(LruCache, OverweightInsertFlushesOlderEntriesThenItself) {
+  LruCache<int> c(100);
+  std::vector<int> evicted;
+  auto log = [&evicted](int k, NoValue) { evicted.push_back(k); };
+  c.insert(1, {}, 30, log);
+  c.insert(2, {}, 30, log);
+  EXPECT_TRUE(c.insert(3, {}, 101, log));
+  EXPECT_EQ(evicted, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.weight(), 0u);
+}
+
+TEST(LruCache, ZeroCapacityHoldsNothing) {
+  LruCache<int> c(0);
+  int evictions = 0;
+  EXPECT_FALSE(c.insert(1, {}, 1, [&evictions](int, NoValue) {
+    ++evictions;
+  }));
+  EXPECT_FALSE(c.insert(2));
+  EXPECT_FALSE(c.contains(1));
+  EXPECT_EQ(c.touch(1), nullptr);
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(evictions, 0);
+}
+
+TEST(LruCache, EraseAndClearRestoreTheWeight) {
+  LruCache<int> c(100);
+  int evictions = 0;
+  auto count = [&evictions](int, NoValue) { ++evictions; };
+  c.insert(1, {}, 30, count);
+  c.insert(2, {}, 50, count);
+  EXPECT_TRUE(c.erase(1));
+  EXPECT_FALSE(c.erase(1));
+  EXPECT_EQ(c.weight(), 50u);
+  c.insert(3, {}, 50, count);  // fits exactly: nothing evicted
+  EXPECT_EQ(evictions, 0);
+  c.clear();
+  EXPECT_EQ(c.weight(), 0u);
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_FALSE(c.contains(2));
+  c.insert(4, {}, 100, count);
+  EXPECT_EQ(evictions, 0);
+  EXPECT_TRUE(c.contains(4));
 }
 
 TEST(Types, FormatBytes) {

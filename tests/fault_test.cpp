@@ -17,6 +17,7 @@
 #include "harness/runner.h"
 #include "harness/stacks.h"
 #include "kvftl/kv_ftl.h"
+#include "workload/workload.h"
 
 namespace kvsim::harness {
 namespace {
@@ -473,6 +474,75 @@ TEST_P(RetryBudgetEndToEnd, CapsReDrivesAndSurfacesDeniedFailures) {
 INSTANTIATE_TEST_SUITE_P(AllBeds, RetryBudgetEndToEnd,
                          ::testing::Values("kvssd", "lsm", "hashkv"));
 
+// --- caches fill only from a read that succeeded ---------------------------
+
+// A flash read that times out must not leave its page in the block FTL's
+// DRAM cache: the re-read has to go to flash again.
+TEST(CacheFill, BlockFtlFailedReadDoesNotFillPageCache) {
+  const ssd::SsdConfig dev = tiny_dev();
+  sim::EventQueue eq;
+  flash::FlashController flash(eq, dev.geometry, dev.timing);
+  blockftl::BlockFtl ftl(eq, flash, dev, blockftl::BlockFtlConfig{});
+  ftl.write(0, 4 * KiB, 1, [](Status) {});
+  ftl.flush([] {});
+  eq.run();
+
+  auto read = [&] {
+    Status got = Status::kInvalidArgument;
+    ftl.read(0, 4 * KiB, [&got](Status s, u64) { got = s; });
+    eq.run();
+    return got;
+  };
+  ssd::FaultPlan plan;
+  plan.enabled = true;
+  plan.stall_prob = 1.0;  // every flash op stalls past the deadline
+  plan.stall_ns = 5 * kMs;
+  plan.op_timeout_ns = 1 * kMs;
+  ftl.set_fault_plan(plan);
+  ASSERT_EQ(read(), Status::kTimeout);
+
+  ftl.set_fault_plan(ssd::FaultPlan{});
+  const u64 hits = ftl.cache_hits();
+  EXPECT_EQ(read(), Status::kOk);
+  EXPECT_EQ(ftl.cache_hits(), hits);  // served from flash
+  EXPECT_EQ(read(), Status::kOk);
+  EXPECT_EQ(ftl.cache_hits(), hits + 1);  // the good read filled it
+}
+
+// A get whose data-block read fails must not leave the block in the LSM
+// block cache: a host retry would otherwise be served from DRAM without
+// the device read it needs.
+TEST(CacheFill, LsmFailedGetDoesNotFillBlockCache) {
+  LsmBedConfig c;
+  c.dev = tiny_dev();
+  c.lsm.memtable_bytes = 256 * KiB;  // flush the fill into SSTs
+  c.retry.max_retries = 0;           // surface the media error
+  LsmBed bed(c);
+  (void)fill_stack(bed, 1200, 16, 2048, 32);
+  const std::string key = wl::make_key(5, 16);
+  auto get = [&] {
+    Status got = Status::kInvalidArgument;
+    bed.retrieve(key, [&got](Status s, ValueDesc) { got = s; });
+    bed.eq().run();
+    return got;
+  };
+  ssd::FaultPlan plan;
+  plan.enabled = true;
+  plan.read_uber_base = 1.0;  // every flash read is uncorrectable
+  plan.read_uber_max = 1.0;
+  bed.apply_fault_plan(plan);
+  const u64 hits0 = bed.store().block_cache_hits();
+  ASSERT_EQ(get(), Status::kMediaError);
+  EXPECT_EQ(bed.store().block_cache_hits(), hits0);
+
+  bed.apply_fault_plan(ssd::FaultPlan{});
+  EXPECT_EQ(get(), Status::kOk);
+  EXPECT_EQ(bed.store().block_cache_hits(), hits0);  // went to the device
+  EXPECT_EQ(get(), Status::kOk);
+  EXPECT_EQ(bed.store().block_cache_hits(), hits0 + 1);
+}
+
+
 }  // namespace
 }  // namespace kvsim::harness
 
@@ -612,8 +682,9 @@ TYPED_TEST(BlockConservation, EveryBlockAccountedAndRetiredBlocksStayOut) {
   for (flash::BlockId b = 0; b < total; ++b) {
     ASSERT_LE(log.state(b), ssd::BlockLog::kBad) << "block " << b;
     ++count[log.state(b)];
-    if (watch.failed(b))
+    if (watch.failed(b)) {
       EXPECT_EQ(log.state(b), ssd::BlockLog::kBad) << "block " << b;
+    }
   }
   u64 sum = 0;
   for (u64 c : count) sum += c;
