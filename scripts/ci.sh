@@ -28,8 +28,11 @@
 #      8-thread SweepRunner pool, shape-checking that the merged JSON is
 #      byte-identical to the single-thread pass;
 #   6b. the cache-path shape smoke: bench_fig3_index_occupancy (index
-#      segment cache spilling to flash) and bench_ablation_design (the
-#      KV blob cache turned on), shape-checked on the release build;
+#      segment cache spilling to flash), bench_ablation_design (the
+#      KV blob cache turned on), bench_fig5_packing_bandwidth (blobs
+#      split into multiple chunks) and bench_fig6_foreground_gc (KV-SSD
+#      GC churn through the blob table), shape-checked on the release
+#      build;
 #   7. the simulation-core perf smoke (scripts/bench.sh --smoke), failing
 #      on >20% events/sec regression vs the committed BENCH_sim.json (and
 #      on sweep-scaling regression vs its committed baseline);
@@ -123,12 +126,16 @@ cmake --build build -j "$(nproc)" --target bench_fig_matrix
 
 stage "cache-path shape smoke"
 # The only benches that push the KV-FTL index segment cache into flash
-# spill (Fig. 3) and that turn the KV blob cache on (ablation A6); each
-# exits nonzero when a shape check fails.
+# spill (Fig. 3) and that turn the KV blob cache on (ablation A6), plus
+# the ones that drive the blob table through split multi-chunk blobs
+# (Fig. 5) and through KV-SSD GC churn (Fig. 6); each exits nonzero when
+# a shape check fails.
 cmake --build build -j "$(nproc)" --target bench_fig3_index_occupancy \
-  bench_ablation_design
+  bench_ablation_design bench_fig5_packing_bandwidth bench_fig6_foreground_gc
 ./build/bench/bench_fig3_index_occupancy
 ./build/bench/bench_ablation_design
+./build/bench/bench_fig5_packing_bandwidth
+./build/bench/bench_fig6_foreground_gc
 
 stage "bench smoke"
 scripts/bench.sh --smoke

@@ -312,7 +312,10 @@ void BlockFtl::maybe_readahead(u64 next_lpn) {
   const flash::PageId p = map_[next_lpn] / slots_per_page();
   if (cache_.contains(p) || log_.buffered(p)) return;
   cache_.insert(p);  // reserve the slot up-front so we don't double-fetch
-  flash_.read_page(p, geom_.page_bytes, [] {});
+  // A prefetch that fails gives its slot back.
+  flash_.read_page(p, geom_.page_bytes, [this, p](flash::OpStatus st) {
+    if (st != flash::OpStatus::kOk) cache_.erase(p);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -65,9 +65,9 @@ void KvFtl::audit_verify() const {
   // Every index entry (blob chunk ref) must resolve to exactly one live
   // log record, and that record must agree with the shadow placement.
   u64 refs = 0;
-  for (const auto& [khash, blob] : blob_table_) {
-    for (u32 ci = 0; ci < blob.chunks.size(); ++ci) {
-      const ChunkRef& ref = blob.chunks[ci];
+  blob_table_.for_each([&](u64 khash, const BlobRec& blob) {
+    for (u32 ci = 0; ci < blob.chunks().size(); ++ci) {
+      const ChunkRef& ref = blob.chunks()[ci];
       if (ref.block == kPendingBlock) continue;
       ++refs;
       const auto& recs = recs_[ref.block];
@@ -93,7 +93,7 @@ void KvFtl::audit_verify() const {
                                      std::to_string(ref.rec) +
                                      " in the shadow log");
     }
-  }
+  });
   if (refs != log_audit_->placed_chunks())
     ssd::audit_fail("kvftl",
                     std::to_string(refs) + " reachable chunk refs != " +
@@ -161,12 +161,10 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
   const u32 slots = slots_for_value(value.size, cfg_.slot_bytes);
   const u32 nchunks = chunks_for_blob(slots, cfg_.page_data_slots);
 
-  auto existing = blob_table_.find(khash);
-  const bool is_new = existing == blob_table_.end();
+  const BlobRec* existing = blob_table_.find(khash);
+  const bool is_new = existing == nullptr;
   const u64 freed =
-      is_new ? 0
-             : (u64)slots_for_value(existing->second.value_bytes,
-                                    cfg_.slot_bytes);
+      is_new ? 0 : (u64)slots_for_value(existing->value_bytes, cfg_.slot_bytes);
   if (live_slots_ + slots - std::min<u64>(freed, live_slots_) >
       (u64)((double)data_slot_capacity() * cfg_.capacity_guard)) {
     done(is_new ? Status::kCapacityLimit : Status::kDeviceFull);
@@ -194,11 +192,10 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
   const IndexCost ic = is_new ? index_.on_insert(khash)
                               : index_.on_update(khash);
 
-  const std::string key_copy(key);
   auto join = sim::make_latch(
       2 + (int)ic.segment_reads,
-      [this, khash, key_copy, value, slots, nchunks, stream, nsid,
-       done = std::move(done)]() mutable {
+      [this, khash, key_copy = std::string(key), value, slots, nchunks, stream,
+       nsid, done = std::move(done)]() mutable {
         BlobRec& blob = blob_table_[khash];
         // Re-decide new-vs-overwrite here: a concurrent store of the same
         // fresh key may have landed while this one was in flight.
@@ -217,8 +214,8 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
         blob.vfp = value.fingerprint;
         ++blob.gen;
         if (cfg_.crash_tracking) key_dir_[khash] = KeyDirEntry{key_copy, nsid};
-        blob.chunks.assign(nchunks, ChunkRef{kPendingBlock, 0});
-        place_blob(khash, blob.gen, slots, stream);
+        blob.reset_chunks(nchunks, ChunkRef{kPendingBlock, 0});
+        place_blob(blob, khash, slots, stream);
         done(Status::kOk);
       });
   log_.buffer().acquire((u64)slots * cfg_.slot_bytes,
@@ -227,22 +224,23 @@ void KvFtl::store(std::string_view key, ValueDesc value, StoreDone done,
   charge_index_cost(ic, [join] { join->arrive(); });
 }
 
-void KvFtl::place_blob(u64 khash, u32 gen, u32 total_slots, u8 stream) {
+void KvFtl::place_blob(BlobRec& blob, u64 khash, u32 total_slots,
+                       u8 stream) {
   const u32 nchunks = chunks_for_blob(total_slots, cfg_.page_data_slots);
   for (u32 c = 0; c < nchunks; ++c) {
     const u32 cs = chunk_slots(total_slots, cfg_.page_data_slots, c);
     if (cs == 0) continue;
-    if (!place_chunk(khash, (u8)c, (u16)cs, /*is_gc=*/false, stream)) {
+    if (!place_chunk(blob, khash, (u8)c, (u16)cs, /*is_gc=*/false, stream)) {
       pending_chunks_.push_back(
-          PendingChunk{khash, gen, (u8)c, stream, (u16)cs});
+          PendingChunk{khash, blob.gen, (u8)c, stream, (u16)cs});
       ++stats_.gc_foreground_runs;  // a host write is now waiting on GC
       if (!gc_running_ && !gc_stuck_) run_gc();
     }
   }
 }
 
-bool KvFtl::place_chunk(u64 khash, u8 chunk_idx, u16 slot_count, bool is_gc,
-                        u8 stream) {
+bool KvFtl::place_chunk(BlobRec& blob, u64 khash, u8 chunk_idx,
+                        u16 slot_count, bool is_gc, u8 stream) {
   // Streams own disjoint lane groups: lane index = stream + k * streams.
   auto& lanes = is_gc ? gc_lanes_ : lanes_;
   Lane* lane_ptr;
@@ -293,19 +291,17 @@ bool KvFtl::place_chunk(u64 khash, u8 chunk_idx, u16 slot_count, bool is_gc,
   lane.used_slots += slot_count;
   lane.buffered_bytes += (u64)slot_count * cfg_.slot_bytes;
 
-  auto blob = blob_table_.find(khash);
-  if (blob != blob_table_.end() && chunk_idx < blob->second.chunks.size())
-    blob->second.chunks[chunk_idx] = ChunkRef{(u32)b, rec_idx};
-  if (cfg_.crash_tracking && blob != blob_table_.end()) {
+  if (chunk_idx < blob.chunks().size())
+    blob.chunks()[chunk_idx] = ChunkRef{(u32)b, rec_idx};
+  if (cfg_.crash_tracking) {
     // OOB blob descriptor, mirroring what the firmware writes into the
     // page meta area: a=gen|chunk|slot_start, b=value|slots|key bytes.
-    const BlobRec& br = blob->second;
     const ChunkRec& rec = recs_[b][rec_idx];
     lane.staged.push_back(flash::OobEntry{
-        khash, br.vfp,
-        ((u64)br.gen << 32) | ((u64)rec.chunk_idx << 16) | rec.slot_start,
-        ((u64)br.value_bytes << 32) | ((u64)rec.slot_count << 16) |
-            br.key_bytes});
+        khash, blob.vfp,
+        ((u64)blob.gen << 32) | ((u64)rec.chunk_idx << 16) | rec.slot_start,
+        ((u64)blob.value_bytes << 32) | ((u64)rec.slot_count << 16) |
+            blob.key_bytes});
   }
 
   if (lane.used_slots == cfg_.page_data_slots) seal_page(lane, is_gc);
@@ -351,7 +347,7 @@ void KvFtl::invalidate_blob(BlobRec& blob) {
   // Fresh garbage means GC can make progress again.
   gc_stuck_ = false;
   gc_futile_streak_ = 0;
-  for (const ChunkRef& ref : blob.chunks) {
+  for (const ChunkRef& ref : blob.chunks()) {
     if (ref.block == kPendingBlock) continue;  // never placed (superseded)
     ChunkRec& rec = recs_[ref.block][ref.rec];
     if (!rec.valid) continue;
@@ -363,7 +359,7 @@ void KvFtl::invalidate_blob(BlobRec& blob) {
   }
   app_bytes_live_ -=
       std::min<u64>(app_bytes_live_, (u64)blob.value_bytes + blob.key_bytes);
-  blob.chunks.clear();
+  blob.clear_chunks();
 }
 
 // ---------------------------------------------------------------------------
@@ -387,8 +383,8 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
   }
 
   const IndexCost ic = index_.on_lookup(khash);
-  auto it = blob_table_.find(khash);
-  if (it == blob_table_.end()) {  // Bloom false positive
+  const BlobRec* found = blob_table_.find(khash);
+  if (found == nullptr) {  // Bloom false positive
     auto join = sim::make_latch(1 + (int)ic.segment_reads,
                                 [done = std::move(done)]() mutable {
                                   done(Status::kNotFound, ValueDesc{});
@@ -398,7 +394,7 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
     return;
   }
 
-  const BlobRec& blob = it->second;
+  const BlobRec& blob = *found;
   const ValueDesc out{blob.value_bytes, blob.vfp};
   stats_.host_bytes_read += blob.value_bytes;
 
@@ -412,8 +408,9 @@ void KvFtl::retrieve(std::string_view key, RetrieveDone done, u8 nsid) {
   }
 
   int buffered_chunks = 0;
-  std::vector<flash::PageRead> reads;
-  for (const ChunkRef& ref : blob.chunks) {
+  std::vector<flash::PageRead>& reads = read_scratch_;
+  reads.clear();
+  for (const ChunkRef& ref : blob.chunks()) {
     if (ref.block == kPendingBlock) {
       ++buffered_chunks;
       continue;
@@ -470,8 +467,8 @@ void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
     });
     return;
   }
-  auto it = blob_table_.find(khash);
-  if (it == blob_table_.end()) {
+  BlobRec* blob = blob_table_.find(khash);
+  if (blob == nullptr) {
     eq_.schedule_at(t_mgr, [done = std::move(done)]() mutable {
       done(Status::kNotFound);
     });
@@ -479,9 +476,9 @@ void KvFtl::remove(std::string_view key, StoreDone done, u8 nsid) {
   }
 
   const IndexCost ic = index_.on_remove(khash);
-  invalidate_blob(it->second);
+  invalidate_blob(*blob);
   rcache_.erase(khash);
-  blob_table_.erase(it);
+  blob_table_.erase(khash);
   bloom_.remove(khash);
   iters_.remove(key, nsid);
   if (ns_kvp_counts_[nsid] > 0) --ns_kvp_counts_[nsid];
@@ -508,7 +505,7 @@ void KvFtl::exist(std::string_view key, ExistDone done, u8 nsid) {
     return;
   }
   const IndexCost ic = index_.on_lookup(khash);
-  const bool found = blob_table_.count(khash) != 0;
+  const bool found = blob_table_.contains(khash);
   auto join = sim::make_latch(1 + (int)ic.segment_reads,
                               [found, done = std::move(done)]() mutable {
                                 done(Status::kOk, found);
@@ -582,26 +579,10 @@ flash::PageId KvFtl::next_index_page() {
                        (u32)((i / nblocks) % geom_.pages_per_block));
 }
 
-void KvFtl::charge_index_cost(const IndexCost& cost,
-                              const std::function<void()>& arrive_read) {
-  // A multi-level walk is serial: each level's read must finish before
-  // the next level's location is known. The caller's join still receives
-  // one arrival per read.
-  if (cost.segment_reads > 0) {
-    auto chain = std::make_shared<std::function<void(u32)>>();
-    // Self-capture must be weak or the closure keeps itself alive forever;
-    // each pending read callback holds the strong reference instead.
-    *chain = [this, wchain = std::weak_ptr<std::function<void(u32)>>(chain),
-              arrive_read, total = cost.segment_reads](u32 done_so_far) {
-      auto chain = wchain.lock();
-      flash_.read_page(next_index_page(), cfg_.index.segment_bytes,
-                       [chain, arrive_read, total, done_so_far] {
-                         arrive_read();
-                         if (done_so_far + 1 < total) (*chain)(done_so_far + 1);
-                       });
-    };
-    (*chain)(0);
-  }
+template <typename F>
+void KvFtl::charge_index_cost(const IndexCost& cost, F arrive_read) {
+  if (cost.segment_reads > 0)
+    read_index_segments(cost.segment_reads, std::move(arrive_read));
   // Write-backs append entry deltas into full-page index-log programs
   // (async, batched by the local-index merge machinery).
   index_write_accum_ += cost.segment_writes * cfg_.index.dirty_delta_bytes;
@@ -611,6 +592,19 @@ void KvFtl::charge_index_cost(const IndexCost& cost,
     flash_.program_page(next_index_page(), geom_.page_bytes,
                         [this] { log_.end_program(); });
   }
+}
+
+template <typename F>
+void KvFtl::read_index_segments(u32 left, F arrive_read) {
+  // A multi-level walk is serial: each level's read must finish before
+  // the next level's location is known. The caller's join still receives
+  // one arrival per read.
+  flash_.read_page(next_index_page(), cfg_.index.segment_bytes,
+                   [this, left, arrive = std::move(arrive_read)]() mutable {
+                     arrive();
+                     if (left > 1)
+                       read_index_segments(left - 1, std::move(arrive));
+                   });
 }
 
 // ---------------------------------------------------------------------------
@@ -676,7 +670,8 @@ void KvFtl::run_gc() {
   }
   // Read every page that still holds valid chunks — one batched die-op
   // with a single completion (migration starts when the last page lands).
-  std::vector<flash::PageRead> reads;
+  std::vector<flash::PageRead>& reads = read_scratch_;
+  reads.clear();
   u16 last_page = 0xffff;
   // recs are appended in page order, so valid pages appear in order.
   for (const ChunkRec& rec : recs_[victim]) {
@@ -695,8 +690,8 @@ void KvFtl::migrate_and_erase(flash::BlockId victim) {
   const std::vector<ChunkRec> recs = recs_[victim];
   for (const ChunkRec& rec : recs) {
     if (!rec.valid) continue;
-    auto it = blob_table_.find(rec.khash);
-    if (it == blob_table_.end()) continue;
+    BlobRec* blob = blob_table_.find(rec.khash);
+    if (blob == nullptr) continue;
     // Invalidate the old location, then re-place the chunk via a GC lane.
     recs_[victim][&rec - recs.data()].valid = false;
     log_.valid(victim) -= rec.slot_count;
@@ -706,7 +701,8 @@ void KvFtl::migrate_and_erase(flash::BlockId victim) {
                                 (u32)(&rec - recs.data()));
     ++stats_.gc_migrated_units;
     stats_.gc_migrated_bytes += (u64)rec.slot_count * cfg_.slot_bytes;
-    place_chunk(rec.khash, rec.chunk_idx, rec.slot_count, /*is_gc=*/true, 0);
+    place_chunk(*blob, rec.khash, rec.chunk_idx, rec.slot_count,
+                /*is_gc=*/true, 0);
     // Each relocated KVP chunk forces an index update (the paper's reason
     // KV-SSD GC is expensive). The FTL appends relocation deltas to the
     // index log — write-only, batched — rather than reading segments.
@@ -748,31 +744,31 @@ void KvFtl::on_block_freed() {
   // already considers durable, so they outrank new host writes.
   while (!recovery_pending_.empty()) {
     const PendingChunk pc = recovery_pending_.front();
-    auto it = blob_table_.find(pc.khash);
-    if (it == blob_table_.end() || it->second.gen != pc.gen ||
-        pc.chunk_idx >= it->second.chunks.size() ||
-        it->second.chunks[pc.chunk_idx].block != kPendingBlock) {
+    BlobRec* blob = blob_table_.find(pc.khash);
+    if (blob == nullptr || blob->gen != pc.gen ||
+        pc.chunk_idx >= blob->chunks().size() ||
+        blob->chunks()[pc.chunk_idx].block != kPendingBlock) {
       // Deleted or overwritten while queued; recovery chunks hold no
       // buffer bytes, so dropping them releases nothing.
       recovery_pending_.pop_front();
       continue;
     }
-    if (!place_chunk(pc.khash, pc.chunk_idx, pc.slot_count, /*is_gc=*/true,
-                     pc.stream))
+    if (!place_chunk(*blob, pc.khash, pc.chunk_idx, pc.slot_count,
+                     /*is_gc=*/true, pc.stream))
       break;
     recovery_pending_.pop_front();
   }
   while (!pending_chunks_.empty()) {
     const PendingChunk pc = pending_chunks_.front();
-    auto it = blob_table_.find(pc.khash);
-    if (it == blob_table_.end() || it->second.gen != pc.gen) {
+    BlobRec* blob = blob_table_.find(pc.khash);
+    if (blob == nullptr || blob->gen != pc.gen) {
       // The blob was deleted or overwritten while its chunk waited; drop
       // it and release the buffer space it held.
       log_.buffer().release((u64)pc.slot_count * cfg_.slot_bytes);
       pending_chunks_.pop_front();
       continue;
     }
-    if (!place_chunk(pc.khash, pc.chunk_idx, pc.slot_count, false,
+    if (!place_chunk(*blob, pc.khash, pc.chunk_idx, pc.slot_count, false,
                      pc.stream))
       break;
     pending_chunks_.pop_front();
@@ -791,8 +787,9 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
   // Snapshot the pre-cut blob table for the lost-write window.
   std::vector<std::pair<u64, u64>> pre;  // (khash, vfp)
   pre.reserve(blob_table_.size());
-  for (const auto& [khash, blob] : blob_table_)
+  blob_table_.for_each([&pre](u64 khash, const BlobRec& blob) {
     pre.emplace_back(khash, blob.vfp);
+  });
 
   // Cut power at the media, the block log and the firmware engines.
   const ssd::BlockLog::Survivors surv = log_.power_cut(cut);
@@ -903,7 +900,7 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
       blob.key_bytes = gc.key_bytes;
       blob.gen = it->first;
       blob.vfp = gc.vfp;
-      blob.chunks.assign(gc.chunks.size(), ChunkRef{kPendingBlock, 0});
+      blob.reset_chunks((u32)gc.chunks.size(), ChunkRef{kPendingBlock, 0});
       for (u32 ci = 0; ci < gc.chunks.size(); ++ci)
         placements.push_back(Placement{gc.chunks[ci].block, gc.chunks[ci].page,
                                        gc.chunks[ci].slot_start,
@@ -927,7 +924,7 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
                                        pl.slot_count, pl.chunk_idx, true});
     log_.valid(pl.block) += pl.slot_count;
     live_slots_ += pl.slot_count;
-    blob_table_[pl.khash].chunks[pl.chunk_idx] =
+    blob_table_.find(pl.khash)->chunks()[pl.chunk_idx] =
         ChunkRef{(u32)pl.block, rec_idx};
     if (log_audit_)
       log_audit_->on_place(pl.khash, pl.chunk_idx, (u32)pl.block, rec_idx,
@@ -945,13 +942,13 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
       iters_.add(kd->second.key, kd->second.nsid);
       ++ns_kvp_counts_[kd->second.nsid];
     }
-    app_bytes_live_ += (u64)blob_table_[khash].value_bytes +
-                       blob_table_[khash].key_bytes;
+    const BlobRec& blob = *blob_table_.find(khash);
+    app_bytes_live_ += (u64)blob.value_bytes + blob.key_bytes;
   }
   out.recovered_units = blob_table_.size();
   for (const auto& [khash, vfp] : pre) {
-    auto it = blob_table_.find(khash);
-    if (it == blob_table_.end() || it->second.vfp != vfp) ++out.lost_units;
+    const BlobRec* blob = blob_table_.find(khash);
+    if (blob == nullptr || blob->vfp != vfp) ++out.lost_units;
   }
 
   // Charge the mount: one meta-area read per data page that holds (or
@@ -965,8 +962,8 @@ void KvFtl::power_fail_and_recover(DeviceRecovery& out, sim::Task done) {
 }
 
 bool KvFtl::probe_durable(std::string_view key, u64 vfp, u8 nsid) const {
-  auto it = blob_table_.find(hash64(key, nsid));
-  return it != blob_table_.end() && it->second.vfp == vfp;
+  const BlobRec* blob = blob_table_.find(hash64(key, nsid));
+  return blob != nullptr && blob->vfp == vfp;
 }
 
 // ---------------------------------------------------------------------------
@@ -989,16 +986,16 @@ void KvFtl::relocate_page_chunks(flash::PageId p) {
     live_slots_ -= std::min<u64>(live_slots_, slot_count);
     if (log_audit_)
       log_audit_->on_invalidate(khash, chunk_idx, (u32)b, ri);
-    auto it = blob_table_.find(khash);
-    if (it == blob_table_.end()) continue;  // blob already reclaimed
+    BlobRec* blob = blob_table_.find(khash);
+    if (blob == nullptr) continue;  // blob already reclaimed
     ++stats_.remapped_units;
     // Each recovered chunk re-enters the log and pays the same index
     // relocation delta a GC migration would.
     charge_index_cost(index_.on_relocate(khash), [] {});
-    if (!place_chunk(khash, chunk_idx, slot_count, /*is_gc=*/true, 0)) {
-      it->second.chunks[chunk_idx] = ChunkRef{kPendingBlock, 0};
+    if (!place_chunk(*blob, khash, chunk_idx, slot_count, /*is_gc=*/true, 0)) {
+      blob->chunks()[chunk_idx] = ChunkRef{kPendingBlock, 0};
       recovery_pending_.push_back(
-          PendingChunk{khash, it->second.gen, chunk_idx, 0, slot_count});
+          PendingChunk{khash, blob->gen, chunk_idx, 0, slot_count});
     }
   }
 }

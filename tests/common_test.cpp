@@ -1,15 +1,18 @@
 // Unit tests for common utilities: RNG, Zipf, hashing, histogram,
-// bandwidth tracker, table rendering, the LRU cache.
+// bandwidth tracker, table rendering, the LRU cache, the flat hash map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <map>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/ascii_plot.h"
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/lru.h"
@@ -413,6 +416,156 @@ TEST(LruCache, EraseAndClearRestoreTheWeight) {
   c.insert(4, {}, 100, count);
   EXPECT_EQ(evictions, 0);
   EXPECT_TRUE(c.contains(4));
+}
+
+// --- FlatMap -----------------------------------------------------------------
+
+// Every key homes at its own value (mod the capacity), so a test can lay
+// out probe runs by hand.
+struct IdentityHash {
+  u64 operator()(u64 k) const { return k; }
+};
+
+// Check `m` against `oracle` entry by entry, through find and for_each.
+template <class Map>
+void expect_same(const Map& m, const std::unordered_map<u64, u64>& oracle) {
+  ASSERT_EQ(m.size(), oracle.size());
+  for (const auto& [k, v] : oracle) {
+    const u64* got = m.find(k);
+    ASSERT_NE(got, nullptr) << "key " << k;
+    ASSERT_EQ(*got, v) << "key " << k;
+  }
+  u64 visited = 0;
+  m.for_each([&](u64 k, u64 v) {
+    ++visited;
+    auto it = oracle.find(k);
+    ASSERT_NE(it, oracle.end()) << "stray key " << k;
+    EXPECT_EQ(v, it->second);
+  });
+  EXPECT_EQ(visited, oracle.size());
+}
+
+TEST(FlatMap, MatchesUnorderedMapOracleUnderMixedOps) {
+  FlatMap<u64, u64> m;
+  std::unordered_map<u64, u64> oracle;
+  Rng rng(2024);
+  // A small key space keeps runs long and makes erase hit often.
+  for (u64 op = 0; op < 200'000; ++op) {
+    const u64 k = rng.below(4096) * 0x10001;  // spread across the high bits
+    switch (rng.below(3)) {
+      case 0:
+        m[k] = op;
+        oracle[k] = op;
+        break;
+      case 1:
+        ASSERT_EQ(m.erase(k), oracle.erase(k) == 1) << "op " << op;
+        break;
+      default: {
+        const u64* got = m.find(k);
+        auto it = oracle.find(k);
+        ASSERT_EQ(got != nullptr, it != oracle.end()) << "op " << op;
+        if (got) {
+          ASSERT_EQ(*got, it->second) << "op " << op;
+        }
+      }
+    }
+    ASSERT_EQ(m.size(), oracle.size());
+  }
+  expect_same(m, oracle);
+}
+
+TEST(FlatMap, EraseInsideARunThatWrapsKeepsEveryKeyReachable) {
+  FlatMap<u64, u64, IdentityHash> m;
+  m[0] = 0;  // allocate the first array
+  const u64 cap = m.capacity();
+  ASSERT_EQ(cap, 16u);
+  m.erase(0);
+  // Homes cap-3, cap-2 (twice), cap-1 (twice) and 0: one run of six slots
+  // from cap-3 that wraps past the end to slot 2.
+  const std::vector<u64> keys = {cap - 3, cap - 2, 2 * cap - 2,
+                                 cap - 1, 2 * cap - 1, 2 * cap};
+  std::unordered_map<u64, u64> oracle;
+  for (u64 k : keys) {
+    m[k] = k * 10;
+    oracle[k] = k * 10;
+  }
+  ASSERT_EQ(m.capacity(), cap);
+  // Erase from the middle of the run, before the wrap: every later entry
+  // must shift back and stay reachable from its home.
+  EXPECT_TRUE(m.erase(2 * cap - 2));
+  oracle.erase(2 * cap - 2);
+  expect_same(m, oracle);
+  // Then the entry that sits on the wrap point, and one past it.
+  EXPECT_TRUE(m.erase(cap - 1));
+  oracle.erase(cap - 1);
+  expect_same(m, oracle);
+  EXPECT_TRUE(m.erase(2 * cap));
+  oracle.erase(2 * cap);
+  expect_same(m, oracle);
+  EXPECT_FALSE(m.erase(2 * cap));
+  // Re-insert into the now-shortened run.
+  m[3 * cap - 1] = 7;
+  oracle[3 * cap - 1] = 7;
+  expect_same(m, oracle);
+}
+
+TEST(FlatMap, GrowthUnderLoadKeepsEveryEntry) {
+  FlatMap<u64, u64, IdentityHash> m;
+  std::unordered_map<u64, u64> oracle;
+  u64 last_cap = 0, growths = 0;
+  // Identity-hashed consecutive keys fill the array in dense runs, and
+  // erasing every third keeps backward shifts going between growths.
+  for (u64 k = 0; k < 50'000; ++k) {
+    m[k] = k ^ 0xabcd;
+    oracle[k] = k ^ 0xabcd;
+    if (k % 3 == 2) {
+      ASSERT_TRUE(m.erase(k - 1));
+      oracle.erase(k - 1);
+    }
+    if (m.capacity() != last_cap) {
+      ++growths;
+      last_cap = m.capacity();
+      EXPECT_LE(m.size() * 4, m.capacity() * 3);
+      expect_same(m, oracle);
+    }
+  }
+  EXPECT_GE(growths, 10u);
+  expect_same(m, oracle);
+}
+
+TEST(FlatMap, IterationVisitsEachLiveEntryOnce) {
+  FlatMap<u64, u64> m;
+  for (u64 k = 1; k <= 1000; ++k) m[k * 7919] = k;
+  for (u64 k = 1; k <= 1000; k += 2) m.erase(k * 7919);
+  std::map<u64, int> seen;
+  m.for_each([&](u64 k, u64 v) {
+    ++seen[k];
+    EXPECT_EQ(k, v * 7919);
+  });
+  ASSERT_EQ(seen.size(), 500u);
+  for (const auto& [k, n] : seen) {
+    EXPECT_EQ(n, 1) << "key " << k;
+    EXPECT_EQ((k / 7919) % 2, 0u);
+  }
+}
+
+TEST(FlatMap, ClearThenReuse) {
+  FlatMap<u64, std::vector<u64>> m;
+  for (u64 k = 0; k < 100; ++k) m[k].assign(k % 5, k);
+  const u64 cap = m.capacity();
+  m.clear();
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.capacity(), cap);
+  for (u64 k = 0; k < 100; ++k) EXPECT_FALSE(m.contains(k));
+  m.for_each([](u64, const std::vector<u64>&) { ADD_FAILURE(); });
+  // A reused key starts from a default value, not the cleared one.
+  EXPECT_TRUE(m[4].empty());
+  m[4].push_back(9);
+  m[200].push_back(1);
+  EXPECT_EQ(m.size(), 2u);
+  ASSERT_NE(m.find(4), nullptr);
+  EXPECT_EQ(*m.find(4), std::vector<u64>{9});
+  EXPECT_FALSE(m.erase(5));
 }
 
 TEST(Types, FormatBytes) {

@@ -509,6 +509,43 @@ TEST(CacheFill, BlockFtlFailedReadDoesNotFillPageCache) {
   EXPECT_EQ(ftl.cache_hits(), hits + 1);  // the good read filled it
 }
 
+// A readahead prefetch that times out must not leave its page in the block
+// FTL's DRAM cache: the first read of the prefetched data has to go to
+// flash.
+TEST(CacheFill, BlockFtlFailedPrefetchDoesNotStayCached) {
+  const ssd::SsdConfig dev = ssd::SsdConfig::small_device();
+  sim::EventQueue eq;
+  flash::FlashController flash(eq, dev.geometry, dev.timing);
+  blockftl::BlockFtl ftl(eq, flash, dev, blockftl::BlockFtlConfig{});
+  constexpr u64 kSectorsPerLpn = 4 * KiB / 512;
+  for (u64 lpn = 0; lpn < 48; ++lpn)
+    ftl.write(lpn * kSectorsPerLpn, 4 * KiB, lpn + 1, [](Status) {});
+  ftl.flush([] {});
+  eq.run();
+
+  auto read = [&](u64 first_lpn, u64 lpns) {
+    Status got = Status::kInvalidArgument;
+    ftl.read(first_lpn * kSectorsPerLpn, (u32)(lpns * 4 * KiB),
+             [&got](Status s, u64) { got = s; });
+    eq.run();
+    return got;
+  };
+  ssd::FaultPlan plan;
+  plan.enabled = true;
+  plan.stall_prob = 1.0;  // every flash op stalls past the deadline
+  plan.stall_ns = 5 * kMs;
+  plan.op_timeout_ns = 1 * kMs;
+  ftl.set_fault_plan(plan);
+  // Eight sequential slots ending at lpn 39 make a stream: lpn 40's page
+  // is prefetched, and that read times out too.
+  ASSERT_EQ(read(32, 8), Status::kTimeout);
+
+  ftl.set_fault_plan(ssd::FaultPlan{});
+  const u64 hits = ftl.cache_hits();
+  EXPECT_EQ(read(40, 1), Status::kOk);
+  EXPECT_EQ(ftl.cache_hits(), hits);  // served from flash
+}
+
 // A get whose data-block read fails must not leave the block in the LSM
 // block cache: a host retry would otherwise be served from DRAM without
 // the device read it needs.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 
 #include "common/rng.h"
 #include "kvftl/kv_ftl.h"
@@ -303,6 +304,78 @@ TEST(KvFtlBehavior, FlushIsIdempotentAndQuiesces) {
   const u64 programs = bed.flash.stats().page_programs;
   bed.flush();  // nothing left to seal
   EXPECT_EQ(bed.flash.stats().page_programs, programs);
+}
+
+// Blob-table churn across GC cycles: 1-, 2- and 5-chunk blobs are
+// overwritten with other sizes (chunk lists shrink and grow), removed and
+// re-inserted, on the device and fill of KvFtl.GcReclaimsAndPreservesData.
+// Contents and every live counter must match an oracle throughout.
+TEST(KvFtlBehavior, BlobTableChurnAcrossGcCyclesMatchesOracle) {
+  KvFtlConfig cfg;
+  cfg.index.dram_bytes = 4 * MiB;
+  cfg.expected_keys_hint = 100000;
+  Bed bed(cfg);
+  constexpr u32 kSizes[] = {4 * KiB, 30 * KiB, 100 * KiB};  // 1, 2, 5 chunks
+  constexpr u32 kKeyBytes = 16;
+  struct Live {
+    u32 vsize;
+    u64 vfp;
+  };
+  std::map<u64, Live> oracle;
+  auto check_counters = [&] {
+    u64 slots = 0, app = 0;
+    for (const auto& [id, l] : oracle) {
+      slots += slots_for_value(l.vsize, 1 * KiB);
+      app += kKeyBytes + l.vsize;
+    }
+    ASSERT_EQ(bed.ftl.kvp_count(), oracle.size());
+    ASSERT_EQ(bed.ftl.live_slots(), slots);
+    ASSERT_EQ(bed.ftl.app_bytes_live(), app);
+  };
+
+  const u64 keys = 300;
+  Rng rng(41);
+  u64 oks = 0, removes = 0;
+  for (u64 op = 1; op <= 6000; ++op) {
+    const u64 id = rng.below(keys);
+    const std::string key = wl::make_key(id, kKeyBytes);
+    if (rng.below(8) == 0) {
+      const Status s = bed.remove(key);
+      ASSERT_EQ(s, oracle.erase(id) ? Status::kOk : Status::kNotFound)
+          << "op " << op;
+      ++removes;
+    } else {
+      const u32 vsize = kSizes[rng.below(3)];
+      const Status s = bed.store(key, vsize, op);
+      if (s == Status::kOk) {
+        oracle[id] = Live{vsize, op};
+        ++oks;
+      } else {
+        ASSERT_TRUE(s == Status::kDeviceFull || s == Status::kCapacityLimit)
+            << "op " << op << ": " << to_string(s);
+      }
+    }
+    if (op % 500 == 0) {
+      bed.flush();  // runs audit_verify in the audit build
+      ASSERT_NO_FATAL_FAILURE(check_counters()) << "op " << op;
+    }
+  }
+  EXPECT_GT(oks, 4000u);
+  EXPECT_GT(removes, 500u);
+  EXPECT_GT(bed.ftl.stats().gc_runs, 10u);
+  bed.flush();
+  ASSERT_NO_FATAL_FAILURE(check_counters());
+  for (u64 id = 0; id < keys; ++id) {
+    auto [s, v] = bed.retrieve(wl::make_key(id, kKeyBytes));
+    auto it = oracle.find(id);
+    if (it == oracle.end()) {
+      EXPECT_EQ(s, Status::kNotFound) << "key " << id;
+      continue;
+    }
+    ASSERT_EQ(s, Status::kOk) << "key " << id;
+    EXPECT_EQ(v.fingerprint, it->second.vfp) << "key " << id;
+    EXPECT_EQ(v.size, it->second.vsize) << "key " << id;
+  }
 }
 
 }  // namespace
