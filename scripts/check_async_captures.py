@@ -13,14 +13,24 @@ heap and makes it reschedule itself through the event queue:
 The lambda stored in *step owns a strong reference to itself, so the
 shared_ptr's refcount can never reach zero: every chain leaks its
 closure (and everything the closure captures — often the owning object).
-The correct idiom captures itself weakly and lets the pending event hold
-the only strong reference:
+The correct idiom has no self-referencing closure at all: a serial loop
+is a named function that takes a shared_ptr to the loop's state and
+recurses from its completion, so the pending callback holds the only
+strong reference and an abandoned chain frees itself:
 
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, wstep = std::weak_ptr<std::function<void()>>(step)] {
-      auto step = wstep.lock();       // revive for the next hop
-      ...
-    };
+    void Store::write_next(std::shared_ptr<WriteJob> job) {
+      if (job->idx == job->pieces) {
+        job->done();
+        return;
+      }
+      dev_.write(..., [this, job](Status) mutable {
+        ++job->idx;
+        write_next(std::move(job));   // recurse; no handle to itself
+      });
+    }
+
+(A closure that captures itself through a std::weak_ptr and lock()s it
+per hop does not leak either, and is not flagged.)
 
 This checker flags every `*X = [...]` assignment whose capture list
 takes a strong copy of X, where X was declared as a

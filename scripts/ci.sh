@@ -39,6 +39,10 @@
 #   7b. the benchmark smoke: every BENCHMARK.json workload through
 #      perfbench/run.py (3 reps at seed 1), failing unless its result
 #      line reports "correct": true and "failed": 0;
+#   7c. the audited benchmark smoke: perfbench/ built with
+#      -DKVSIM_AUDIT=1 runs the block-bed workloads (lsm_ycsb_a,
+#      hashkv_read_mt) at seed 1 under the shadow auditors, with the same
+#      "correct": true / "failed": 0 requirement;
 #   8. the suite under ASan/UBSan via scripts/sanitize.sh;
 #   9. the sweep tests + driver under TSan via scripts/sanitize.sh --tsan.
 #
@@ -58,6 +62,15 @@ for arg in "$@"; do
 done
 
 stage() { printf '\n=== ci: %s ===\n' "$*"; }
+
+# Read a kvbench JSON result line on stdin; fail unless it reports a
+# correct, failure-free run of workload $1.
+require_clean_result() {
+  python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+print("%s: correct=%s failed=%s" % (sys.argv[1], r.get("correct"), r.get("failed")))
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' "$1"
+}
 
 # Tests are independent processes; run them wider than the core count
 # (floor 4) so the many tiny binaries don't serialize on small runners.
@@ -148,11 +161,23 @@ stage "benchmark smoke"
 for w in $(python3 -c 'import json
 print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
   python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0 --trace 0 |
-    tail -n 1 |
-    python3 -c 'import json, sys
-r = json.loads(sys.stdin.read())
-print("%s: correct=%s failed=%s" % (sys.argv[1], r.get("correct"), r.get("failed")))
-sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' "$w"
+    tail -n 1 | require_clean_result "$w"
+done
+
+stage "benchmark smoke (audit build)"
+# The LSM flush/compaction loops and the hash-log flush under the shadow
+# auditors at benchmark scale. perfbench/ is a standalone project with no
+# KVSIM_AUDIT option, so the define goes in through CMAKE_CXX_FLAGS, into
+# a build directory of its own. kvssd_update_gc is left out: on the audit
+# build it aborts at seeds 1-3 with "[KVSIM_AUDIT] flash: read of
+# erased/unwritten page" (the KV-FTL GC placement defect, ROADMAP item 1).
+# Add it here once that defect is fixed.
+cmake -S perfbench -B build-audit-perfbench -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-DKVSIM_AUDIT=1
+cmake --build build-audit-perfbench -j "$(nproc)" --target kvbench
+for w in lsm_ycsb_a hashkv_read_mt; do
+  ./build-audit-perfbench/kvbench --workload "$w" --seed 1 --seconds 0 \
+    --trace 0 | tail -n 1 | require_clean_result "$w"
 done
 
 if [ "$FAST" = 0 ]; then

@@ -2,8 +2,6 @@
 // (direct I/O — no page cache, matching the paper's methodology).
 #pragma once
 
-#include <functional>
-
 #include "blockftl/block_ftl.h"
 #include "nvme/nvme_link.h"
 
@@ -73,7 +71,7 @@ class BlockDevice {
     });
   }
 
-  void flush(std::function<void()> done) { ftl_.flush(std::move(done)); }
+  void flush(sim::Task done) { ftl_.flush(std::move(done)); }
 
   [[nodiscard]] u64 capacity_bytes() const { return ftl_.exported_bytes(); }
   [[nodiscard]] u64 host_cpu_ns() const {

@@ -85,7 +85,8 @@ void FileSystem::free_extent(const Extent& e) {
   }
 }
 
-void FileSystem::charge_meta(u32 ops, std::function<void()> then) {
+template <typename F>
+void FileSystem::charge_meta(u32 ops, F then) {
   cpu_ns_ += (u64)ops * cfg_.meta_cpu_ns;
   meta_ops_since_journal_ += ops;
   if (meta_ops_since_journal_ >= cfg_.journal_every_ops) {

@@ -9,7 +9,6 @@
 // pattern LSM stores generate); random reads address (offset, length).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -118,7 +117,10 @@ class FileSystem {
   /// may be shorter than requested (caller loops).
   bool allocate_extent(u64 blocks, Extent& out);
   void free_extent(const Extent& e);
-  void charge_meta(u32 ops, std::function<void()> then);
+  /// Charge `ops` metadata operations; `then()` runs once they settle
+  /// (after the journal write when one falls due).
+  template <typename F>
+  void charge_meta(u32 ops, F then);
   [[nodiscard]] Lba lba_of_block(u64 fs_block) const {
     return fs_block * (cfg_.block_bytes / 512);
   }

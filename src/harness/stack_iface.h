@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -327,35 +326,50 @@ class RetryBudget {
   Rng rng_;
 };
 
+/// One run_with_retry chain: the bed's retry context plus the op's issue
+/// and final-completion callables.
+template <typename Issue, typename Done>
+struct RetryChain {
+  sim::EventQueue& eq;
+  const RetryPolicy& policy;
+  u64& retries;
+  RetryBudget& budget;
+  Issue issue;
+  Done done;
+};
+
+/// Issue attempt `n` of `c`; a retryable status re-enters after the
+/// backoff. Only the pending device callback or backoff event holds `c`,
+/// so an abandoned chain frees itself.
+template <typename Issue, typename Done>
+void retry_attempt(std::shared_ptr<RetryChain<Issue, Done>> c, u32 n) {
+  c->issue(n, [c, n](Status s, auto... rest) mutable {
+    if (c->policy.should_retry(s, n) && c->budget.try_consume(c->eq.now())) {
+      ++c->retries;
+      const TimeNs delay = c->budget.jittered(c->policy.backoff_for(n + 1));
+      sim::EventQueue& eq = c->eq;
+      eq.schedule_after(delay, [c = std::move(c), n]() mutable {
+        retry_attempt(std::move(c), n + 1);
+      });
+      return;
+    }
+    c->done(s, rest...);
+  });
+}
+
 /// Issues `issue(attempt, done)` and re-drives it per `policy` when the
 /// completion status is retryable. `retries` is bumped once per re-drive.
 /// Every re-drive spends one token from `budget` (a dry bucket delivers
 /// the failure instead) and its backoff is jitter-stretched by the
-/// budget's seeded stream. The attempt closure self-references through a
-/// weak_ptr: the pending device callback holds the strong reference, so
-/// an abandoned chain frees itself.
+/// budget's seeded stream.
 template <typename Issue, typename Done>
 void run_with_retry(sim::EventQueue& eq, const RetryPolicy& policy,
                     u64& retries, RetryBudget& budget, Issue issue,
                     Done done) {
-  auto attempt = std::make_shared<std::function<void(u32)>>();
-  std::weak_ptr<std::function<void(u32)>> weak = attempt;
-  auto state = std::make_shared<Done>(std::move(done));
-  *attempt = [&eq, &policy, &retries, &budget, weak, state,
-              issue = std::move(issue)](u32 n) {
-    auto self = weak.lock();
-    issue(n, [&eq, &policy, &retries, &budget, self, state, n](
-                 Status s, auto... rest) {
-      if (policy.should_retry(s, n) && budget.try_consume(eq.now())) {
-        ++retries;
-        eq.schedule_after(budget.jittered(policy.backoff_for(n + 1)),
-                          [self, n] { (*self)(n + 1); });
-        return;
-      }
-      (*state)(s, rest...);
-    });
-  };
-  (*attempt)(0);
+  retry_attempt(std::make_shared<RetryChain<Issue, Done>>(
+                    eq, policy, retries, budget, std::move(issue),
+                    std::move(done)),
+                0);
 }
 
 }  // namespace detail

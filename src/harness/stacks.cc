@@ -36,8 +36,9 @@ LsmBed::LsmBed(const LsmBedConfig& cfg0) : HostBed(cfg0.retry) {
 }
 
 void LsmBed::quiesce(sim::Task done) {
-  auto shared = std::make_shared<sim::Task>(std::move(done));
-  store_->drain([this, shared] { ftl_->flush([shared] { (*shared)(); }); });
+  store_->drain([this, done = std::move(done)]() mutable {
+    ftl_->flush(std::move(done));
+  });
 }
 
 void LsmBed::mount(CrashOutcome& out, sim::Task settle) {

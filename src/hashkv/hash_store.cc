@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 
+#include "sim/latch.h"
+
 namespace kvsim::hashkv {
 
 HashKvStore::HashKvStore(sim::EventQueue& eq, blockapi::BlockDevice& dev,
@@ -62,12 +64,12 @@ void HashKvStore::put(std::string_view key, ValueDesc value, PutDone done) {
   if (it != index_.end()) {
     old = it->second;
     old_on_device = old.wb != kBufferBlock;
-    invalidate(k, it->second);
+    invalidate(it->second);
     app_bytes_live_ -=
         std::min<u64>(app_bytes_live_, k.size() + it->second.vsize);
   }
   app_bytes_live_ += k.size() + value.size;
-  append_record(k, value, nullptr, false);
+  append_record(k, value, false);
 
   if (cfg_.read_before_update && old_on_device) {
     // Update path: fetch the old record (bin merge / generation check)
@@ -92,11 +94,9 @@ void HashKvStore::put(std::string_view key, ValueDesc value, PutDone done) {
 }
 
 void HashKvStore::append_record(const std::string& key, ValueDesc value,
-                                const std::function<void(Status)>&,
                                 bool is_defrag) {
   const u32 rec_size = (u32)record_device_bytes((u32)key.size(), value.size);
-  if (buf_used_ + rec_size > cfg_.write_block_bytes)
-    flush_buffer([](Status) {});
+  if (buf_used_ + rec_size > cfg_.write_block_bytes) flush_buffer();
   index_[key] = Rec{kBufferBlock, buf_gen_, buf_used_, rec_size, value.size,
                     value.fingerprint};
   if (cfg_.crash_tracking)
@@ -108,11 +108,8 @@ void HashKvStore::append_record(const std::string& key, ValueDesc value,
   if (is_defrag) cpu_ns_ += cfg_.buffer_copy_ns;
 }
 
-void HashKvStore::flush_buffer(std::function<void(Status)> done) {
-  if (buf_used_ == 0 || free_blocks_.empty()) {
-    done(buf_used_ == 0 ? Status::kOk : Status::kDeviceFull);
-    return;
-  }
+void HashKvStore::flush_buffer() {
+  if (buf_used_ == 0 || free_blocks_.empty()) return;
   const u32 b = free_blocks_.back();
   free_blocks_.pop_back();
   blocks_[b].free = false;
@@ -134,7 +131,7 @@ void HashKvStore::flush_buffer(std::function<void(Status)> done) {
 
   ++outstanding_flushes_;
   dev_.write(wb_lba(b, 0), (u32)cfg_.write_block_bytes, ((u64)b << 32) | gen,
-             [this, b, gen, used, keys, done = std::move(done)](Status s) {
+             [this, b, gen, used, keys](Status) {
                WriteBlock& wb = blocks_[b];
                wb.used = used;
                wb.live = 0;
@@ -157,12 +154,10 @@ void HashKvStore::flush_buffer(std::function<void(Status)> done) {
                  put(w.first, w.second.first, std::move(w.second.second));
                }
                maybe_drain_done();
-               done(s);
              });
 }
 
-void HashKvStore::invalidate(const std::string& key, const Rec& old) {
-  (void)key;
+void HashKvStore::invalidate(const Rec& old) {
   if (old.wb == kBufferBlock) return;  // still staged in RAM
   WriteBlock& wb = blocks_[old.wb];
   wb.live -= std::min(wb.live, old.size);
@@ -209,8 +204,7 @@ void HashKvStore::run_defrag() {
       for (const std::string& k : live_keys) {
         auto it = index_.find(k);
         if (it == index_.end() || it->second.wb != b) continue;
-        append_record(k, ValueDesc{it->second.vsize, it->second.vfp}, nullptr,
-                      true);
+        append_record(k, ValueDesc{it->second.vsize, it->second.vfp}, true);
       }
       WriteBlock& wb = blocks_[b];
       wb.free = true;
@@ -274,7 +268,7 @@ void HashKvStore::del(std::string_view key, PutDone done) {
     });
     return;
   }
-  invalidate(it->first, it->second);
+  invalidate(it->second);
   app_bytes_live_ -=
       std::min<u64>(app_bytes_live_, it->first.size() + it->second.vsize);
   index_.erase(it);
@@ -310,15 +304,9 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   for (auto& wb : blocks_) wb = WriteBlock{};
   free_blocks_.clear();
 
-  struct Gate {
-    int pending = 1;
-    sim::Task done;
-    void open() {
-      if (--pending == 0) done();
-    }
-  };
-  auto gate = std::make_shared<Gate>();
-  gate->done = std::move(done);
+  // One held arrival, released at the end; each recovery read and CPU
+  // slot below adds one.
+  auto gate = sim::make_latch(1, std::move(done));
 
   // ---- cold restart: scan flushed write blocks in flush order ------------
   // Later flushes carry newer record versions, so applying headers in
@@ -334,9 +322,9 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   std::vector<u32> torn;
   for (const auto& [b, led] : scan) {
     ++out.log_blocks_scanned;
-    ++gate->pending;
+    ++gate->remaining;
     dev_.read(wb_lba(b, 0), (u32)cfg_.write_block_bytes,
-              [gate](Status, u64) { gate->open(); });
+              [gate](Status, u64) { gate->arrive(); });
     const Lba lba = wb_lba(b, 0);
     const u64 fp = ((u64)b << 32) | led->gen;
     const bool durable =
@@ -385,15 +373,15 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   // Index-rebuild CPU: one primary-index insert per applied header.
   const TimeNs cpu = (TimeNs)applied * cfg_.index_cpu_ns;
   cpu_ns_ += cpu;
-  ++gate->pending;
-  eq_.schedule_at(fg_cpu_.reserve(now, cpu), [gate] { gate->open(); });
+  ++gate->remaining;
+  eq_.schedule_at(fg_cpu_.reserve(now, cpu), [gate] { gate->arrive(); });
 
   // Low-occupancy survivors go back on the defrag queue (background;
   // not part of the mount itself).
   for (u32 b = 0; b < (u32)blocks_.size(); ++b)
     if (!blocks_[b].free) maybe_queue_defrag(b);
 
-  gate->open();  // release the initial hold
+  gate->arrive();  // release the initial hold
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +390,7 @@ void HashKvStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
 
 void HashKvStore::drain(sim::Task done) {
   drain_waiters_.push_back(std::move(done));
-  if (buf_used_ > 0) flush_buffer([](Status) {});
+  if (buf_used_ > 0) flush_buffer();
   maybe_drain_done();
 }
 

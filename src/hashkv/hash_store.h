@@ -19,7 +19,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -121,9 +120,9 @@ class HashKvStore {
   };
 
   void append_record(const std::string& key, ValueDesc value,
-                     const std::function<void(Status)>& done, bool is_defrag);
-  void flush_buffer(std::function<void(Status)> done);
-  void invalidate(const std::string& key, const Rec& old);
+                     bool is_defrag);
+  void flush_buffer();
+  void invalidate(const Rec& old);
   void maybe_queue_defrag(u32 wb);
   void run_defrag();
   void maybe_drain_done();

@@ -8,9 +8,8 @@ namespace kvsim::kvapi {
 void KvsDevice::store(std::string_view key, ValueDesc value, StoreDone done,
                       u8 stream, u8 nsid, u32 qid) {
   api_cpu_ns_ += cfg_.api_call_ns;
-  const std::string k(key);
   link_.submit_on(qid, key_cmds(key), key.size() + value.size,
-                  [this, k, value, stream, nsid, qid,
+                  [this, k = std::string(key), value, stream, nsid, qid,
                    done = std::move(done)]() mutable {
                     ftl_.store(
                         k, value,
@@ -25,9 +24,9 @@ void KvsDevice::store(std::string_view key, ValueDesc value, StoreDone done,
 void KvsDevice::retrieve(std::string_view key, RetrieveDone done, u8 nsid,
                          u32 qid) {
   api_cpu_ns_ += cfg_.api_call_ns;
-  const std::string k(key);
   link_.submit_on(qid, key_cmds(key), key.size(),
-                  [this, k, nsid, qid, done = std::move(done)]() mutable {
+                  [this, k = std::string(key), nsid, qid,
+                   done = std::move(done)]() mutable {
                     ftl_.retrieve(
                         k,
                         [this, qid, done = std::move(done)](Status s,
@@ -44,9 +43,9 @@ void KvsDevice::retrieve(std::string_view key, RetrieveDone done, u8 nsid,
 void KvsDevice::remove(std::string_view key, StoreDone done, u8 nsid,
                        u32 qid) {
   api_cpu_ns_ += cfg_.api_call_ns;
-  const std::string k(key);
   link_.submit_on(qid, key_cmds(key), key.size(),
-                  [this, k, nsid, qid, done = std::move(done)]() mutable {
+                  [this, k = std::string(key), nsid, qid,
+                   done = std::move(done)]() mutable {
                     ftl_.remove(
                         k,
                         [this, qid, done = std::move(done)](Status s) mutable {
@@ -59,9 +58,9 @@ void KvsDevice::remove(std::string_view key, StoreDone done, u8 nsid,
 
 void KvsDevice::exist(std::string_view key, ExistDone done, u8 nsid) {
   api_cpu_ns_ += cfg_.api_call_ns;
-  const std::string k(key);
   link_.submit(key_cmds(key), key.size(),
-               [this, k, nsid, done = std::move(done)]() mutable {
+               [this, k = std::string(key), nsid,
+                done = std::move(done)]() mutable {
                  ftl_.exist(
                      k,
                      [this, done = std::move(done)](Status s,
@@ -75,34 +74,36 @@ void KvsDevice::exist(std::string_view key, ExistDone done, u8 nsid) {
                });
 }
 
-void KvsDevice::delete_namespace(u8 nsid,
-                                 std::function<void(u64 removed)> done) {
+struct KvsDevice::NamespaceDelete {
+  u8 nsid;
+  std::vector<std::string> keys;
+  size_t next = 0;
+  u64 removed = 0;
+  CountDone done;
+};
+
+void KvsDevice::delete_namespace(u8 nsid, CountDone done) {
   // Snapshot every key of the namespace, then delete them one by one.
-  auto keys = std::make_shared<std::vector<std::string>>();
+  auto job = std::make_shared<NamespaceDelete>();
+  job->nsid = nsid;
+  job->done = std::move(done);
   for (u32 bucket : ftl_.iterator_bucket_ids_of(nsid))
     for (auto& k : ftl_.snapshot_bucket(bucket))
-      keys->push_back(std::move(k));
-  auto removed = std::make_shared<u64>(0);
-  auto idx = std::make_shared<size_t>(0);
-  auto step = std::make_shared<std::function<void()>>();
-  // Self-capture must be weak or the closure keeps itself alive forever;
-  // each pending remove callback holds the strong reference instead.
-  *step = [this, nsid, keys, removed, idx,
-           wstep = std::weak_ptr<std::function<void()>>(step),
-           done = std::move(done)]() mutable {
-    if (*idx >= keys->size()) {
-      done(*removed);
-      return;
-    }
-    const std::string key = (*keys)[(*idx)++];
-    remove(key,
-           [removed, step = wstep.lock()](Status s) {
-             if (s == Status::kOk) ++*removed;
-             (*step)();
-           },
-           nsid);
-  };
-  (*step)();
+      job->keys.push_back(std::move(k));
+  delete_next(std::move(job));
+}
+
+void KvsDevice::delete_next(std::shared_ptr<NamespaceDelete> job) {
+  if (job->next == job->keys.size()) {
+    job->done(job->removed);
+    return;
+  }
+  remove(job->keys[job->next++],
+         [this, job](Status s) mutable {
+           if (s == Status::kOk) ++job->removed;
+           delete_next(std::move(job));
+         },
+         job->nsid);
 }
 
 }  // namespace kvsim::kvapi

@@ -7,7 +7,7 @@
 // throughout the paper; synchronous behavior is queue-depth-1 issuance.
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <string_view>
 
 #include "kvftl/kv_ftl.h"
@@ -28,6 +28,8 @@ class KvsDevice {
   using StoreDone = kvftl::KvFtl::StoreDone;
   using RetrieveDone = kvftl::KvFtl::RetrieveDone;
   using ExistDone = kvftl::KvFtl::ExistDone;
+  using KeysDone = kvftl::KvFtl::KeysDone;
+  using CountDone = sim::Fn<void(u64)>;
 
   KvsDevice(sim::EventQueue& eq, nvme::NvmeLink& link, kvftl::KvFtl& ftl,
             const KvsApiConfig& cfg = {})
@@ -54,13 +56,13 @@ class KvsDevice {
   }
   /// kvs_delete_key_space: remove every key of a namespace (requires the
   /// device's iterator key tracking; completes after the last delete).
-  void delete_namespace(u8 nsid, std::function<void(u64 removed)> done);
+  /// `done(removed)` gets the number of keys deleted.
+  void delete_namespace(u8 nsid, CountDone done);
   /// Iterator: bucket group ids and per-group key listing.
   [[nodiscard]] std::vector<u32> iterator_bucket_ids() const {
     return ftl_.iterator_bucket_ids();
   }
-  void iterate_bucket(u32 bucket,
-                      std::function<void(std::vector<std::string>)> done) {
+  void iterate_bucket(u32 bucket, KeysDone done) {
     ftl_.iterate_bucket(bucket, std::move(done));
   }
 
@@ -74,6 +76,10 @@ class KvsDevice {
   [[nodiscard]] const kvftl::KvFtl& ftl() const { return ftl_; }
 
  private:
+  struct NamespaceDelete;
+  /// One step of delete_namespace: remove the job's next key, then recurse.
+  void delete_next(std::shared_ptr<NamespaceDelete> job);
+
   [[nodiscard]] u32 key_cmds(std::string_view key) const {
     return nvme::kv_commands_for_key(link_.config(), (u32)key.size());
   }

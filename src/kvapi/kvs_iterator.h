@@ -10,11 +10,12 @@
 // paying the full blob-read cost per key.
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "kvapi/kvs_device.h"
+#include "sim/latch.h"
 
 #include "common/thread_annotations.h"
 
@@ -27,10 +28,12 @@ class KvsIterator {
   KvsIterator(KvsDevice& dev, u32 bucket)
       : dev_(dev), keys_(dev.ftl().snapshot_bucket(bucket)) {}
 
+  using PairsDone =
+      sim::Fn<void(std::vector<std::pair<std::string, ValueDesc>>)>;
+
   /// kvs_iterator_next: deliver up to `max_keys` keys; an empty batch
   /// means the iterator is exhausted.
-  void next(u32 max_keys,
-            std::function<void(std::vector<std::string>)> done) {
+  void next(u32 max_keys, KvsDevice::KeysDone done) {
     if (cursor_ >= keys_.size() || max_keys == 0) {
       done({});
       return;
@@ -48,10 +51,7 @@ class KvsIterator {
 
   /// kvs_iterator_next in key+value mode: each returned pair carries the
   /// value descriptor; deleted-since-open keys are skipped.
-  void next_pairs(
-      u32 max_keys,
-      std::function<void(std::vector<std::pair<std::string, ValueDesc>>)>
-          done) {
+  void next_pairs(u32 max_keys, PairsDone done) {
     if (cursor_ >= keys_.size() || max_keys == 0) {
       done({});
       return;
@@ -59,17 +59,16 @@ class KvsIterator {
     const size_t take = std::min<size_t>(max_keys, keys_.size() - cursor_);
     auto out = std::make_shared<
         std::vector<std::pair<std::string, ValueDesc>>>();
-    auto remaining = std::make_shared<size_t>(take + 1);
-    auto finish =
-        [out, remaining, done = std::move(done)]() mutable {
-          if (--*remaining == 0) done(std::move(*out));
-        };
-    dev_.ftl().charge_iterator_read(finish);
+    // One arrival for the bucket-page read, one per retrieved value.
+    auto join = sim::make_latch(
+        (int)take + 1,
+        [out, done = std::move(done)]() mutable { done(std::move(*out)); });
+    dev_.ftl().charge_iterator_read([join] { join->arrive(); });
     for (size_t i = 0; i < take; ++i) {
-      const std::string key = keys_[cursor_ + i];
-      dev_.retrieve(key, [out, finish, key](Status s, ValueDesc v) mutable {
+      const std::string& key = keys_[cursor_ + i];
+      dev_.retrieve(key, [out, join, key](Status s, ValueDesc v) {
         if (s == Status::kOk) out->emplace_back(key, v);
-        finish();
+        join->arrive();
       });
     }
     cursor_ += take;

@@ -522,8 +522,7 @@ std::vector<u32> KvFtl::iterator_bucket_ids() const {
   return iters_.bucket_ids();
 }
 
-void KvFtl::iterate_bucket(
-    u32 bucket, std::function<void(std::vector<std::string>)> done) {
+void KvFtl::iterate_bucket(u32 bucket, KeysDone done) {
   std::vector<std::string> keys = iters_.bucket_keys(bucket);
   u64 bytes = 0;
   for (const auto& k : keys) bytes += k.size() + 4;

@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <array>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -58,7 +57,6 @@ struct KvFtlConfig {
 
   u32 slot_bytes = 1 * KiB;   ///< ECC-sector alignment of packed blobs
   u32 page_data_slots = 24;   ///< 24 KiB data area per 32 KiB page
-  u32 blob_meta_bytes = 16;   ///< per-blob metadata in the page meta area
 
   IndexModelConfig index;
   u32 index_managers = 4;     ///< parallel key-handling units
@@ -100,6 +98,7 @@ class KvFtl {
   using StoreDone = sim::Fn<void(Status)>;
   using RetrieveDone = sim::Fn<void(Status, ValueDesc)>;
   using ExistDone = sim::Fn<void(Status, bool)>;
+  using KeysDone = sim::Fn<void(std::vector<std::string>)>;
 
   KvFtl(sim::EventQueue& eq, flash::FlashController& flash,
         const ssd::SsdConfig& dev, const KvFtlConfig& cfg);
@@ -123,8 +122,7 @@ class KvFtl {
   /// (hash order). `done` receives the keys; timing charges one flash read
   /// per 4 KiB of key records.
   [[nodiscard]] std::vector<u32> iterator_bucket_ids() const;
-  void iterate_bucket(u32 bucket,
-                      std::function<void(std::vector<std::string>)> done);
+  void iterate_bucket(u32 bucket, KeysDone done);
   /// Charge one iterator-record page read (cursor-based iteration reads
   /// one 4 KiB bucket page per batch); `done` runs at completion.
   void charge_iterator_read(sim::Task done);

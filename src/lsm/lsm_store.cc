@@ -154,45 +154,39 @@ void LsmStore::schedule_flush() {
   });
 }
 
+struct LsmStore::SstWrite {
+  std::vector<std::shared_ptr<Sst>> ssts;
+  size_t idx = 0;   // file being appended
+  u64 written = 0;  // bytes of it appended so far
+  sim::Task done;
+};
+
 void LsmStore::write_ssts_then(std::vector<std::shared_ptr<Sst>> ssts,
-                               std::function<void()> done) {
+                               sim::Task done) {
+  write_next_chunk(
+      std::make_shared<SstWrite>(std::move(ssts), 0, 0, std::move(done)));
+}
+
+void LsmStore::write_next_chunk(std::shared_ptr<SstWrite> w) {
   // Sequentially append each SST file in io_chunk_bytes pieces.
-  struct State {
-    std::vector<std::shared_ptr<Sst>> ssts;
-    size_t idx = 0;
-    u64 written = 0;
-    std::function<void()> done;
-  };
-  auto st = std::make_shared<State>();
-  st->ssts = std::move(ssts);
-  st->done = std::move(done);
-  auto step = std::make_shared<std::function<void()>>();
-  // Self-capture must be weak or the closure keeps itself alive forever;
-  // the caller / pending append callback holds the strong reference.
-  *step = [this, st, wstep = std::weak_ptr<std::function<void()>>(step)] {
-    auto step = wstep.lock();
-    if (st->idx == st->ssts.size()) {
-      st->done();
-      return;
-    }
-    Sst& sst = *st->ssts[st->idx];
-    if (st->written >= sst.file_bytes) {
-      ++st->idx;
-      st->written = 0;
-      (*step)();
-      return;
-    }
-    const u64 chunk =
-        std::min<u64>(sst.file_bytes - st->written, cfg_.io_chunk_bytes);
-    fs_.set_queue(0);  // background writes stay off the tenant queues
-    fs_.append(sst.file, chunk,
-               sst.id * 1000 + st->written / cfg_.io_chunk_bytes,
-               [st, step, chunk](Status) {
-                 st->written += chunk;
-                 (*step)();
-               });
-  };
-  (*step)();
+  while (w->idx < w->ssts.size() &&
+         w->written >= w->ssts[w->idx]->file_bytes) {
+    ++w->idx;
+    w->written = 0;
+  }
+  if (w->idx == w->ssts.size()) {
+    w->done();
+    return;
+  }
+  const Sst& sst = *w->ssts[w->idx];
+  const u64 chunk =
+      std::min<u64>(sst.file_bytes - w->written, cfg_.io_chunk_bytes);
+  fs_.set_queue(0);  // background writes stay off the tenant queues
+  fs_.append(sst.file, chunk, sst.id * 1000 + w->written / cfg_.io_chunk_bytes,
+             [this, w, chunk](Status) mutable {
+               w->written += chunk;
+               write_next_chunk(std::move(w));
+             });
 }
 
 void LsmStore::finish_flush(std::shared_ptr<Sst> sst) {
@@ -277,6 +271,16 @@ bool LsmStore::try_start_compaction() {
   return false;
 }
 
+/// A merging compaction's state, from its first input read to install.
+struct LsmStore::CompactionJob {
+  u32 level = 0;
+  std::vector<std::shared_ptr<Sst>> inputs_lo, inputs_hi;
+  std::vector<std::shared_ptr<Sst>> inputs;  // lo then hi: read/merge order
+  size_t idx = 0;   // input being read
+  u64 offset = 0;   // bytes of it read so far
+  std::vector<std::shared_ptr<Sst>> outputs;
+};
+
 void LsmStore::run_compaction(u32 level) {
   run_compaction_victim(level, nullptr);
 }
@@ -325,97 +329,92 @@ void LsmStore::run_compaction_victim(u32 level,
   }
 
   // Real merge: read all inputs, merge (CPU), write outputs, install.
-  std::vector<std::shared_ptr<Sst>> all_inputs = inputs_lo;
-  all_inputs.insert(all_inputs.end(), inputs_hi.begin(), inputs_hi.end());
+  auto job = std::make_shared<CompactionJob>();
+  job->level = level;
+  job->inputs = inputs_lo;
+  job->inputs.insert(job->inputs.end(), inputs_hi.begin(), inputs_hi.end());
+  job->inputs_lo = std::move(inputs_lo);
+  job->inputs_hi = std::move(inputs_hi);
+  read_next_input(std::move(job));
+}
 
-  struct ReadState {
-    size_t idx = 0;
-    u64 offset = 0;
-  };
-  auto rs = std::make_shared<ReadState>();
-  auto inputs = std::make_shared<std::vector<std::shared_ptr<Sst>>>(all_inputs);
-  auto step = std::make_shared<std::function<void()>>();
-  // Self-capture must be weak or the closure keeps itself alive forever;
-  // the caller / pending read callback holds the strong reference.
-  *step = [this, rs, inputs, wstep = std::weak_ptr<std::function<void()>>(step),
-           level, inputs_lo, inputs_hi] {
-    auto step = wstep.lock();
-    if (rs->idx == inputs->size()) {
-      // All inputs read; merge on the background CPU.
-      std::vector<SstEntry> merged;
-      u64 kvps = 0;
-      for (const auto& s : *inputs) kvps += s->entries.size();
-      merged.reserve(kvps);
-      for (const auto& s : *inputs)
-        merged.insert(merged.end(), s->entries.begin(), s->entries.end());
-      std::sort(merged.begin(), merged.end(),
-                [](const SstEntry& a, const SstEntry& b) {
-                  return a.key != b.key ? a.key < b.key : a.seq > b.seq;
-                });
-      // Keep newest version per key; drop tombstones at the bottom.
-      bool bottom = true;
-      for (u32 j = level + 2; j < (u32)levels_.size(); ++j)
-        if (!levels_[j].empty()) bottom = false;
-      std::vector<SstEntry> kept;
-      kept.reserve(merged.size());
-      std::string last_key;
-      bool have_last = false;
-      for (auto& e : merged) {
-        if (have_last && last_key == e.key) continue;
-        last_key = e.key;
-        have_last = true;
-        if (e.tombstone && bottom) continue;  // tombstones die at the bottom
-        kept.push_back(std::move(e));
-      }
-      cpu_ns_ += kvps * cfg_.compaction_cpu_per_kvp_ns;
-      const TimeNs t_cpu =
-          bg_cpu_.reserve(eq_.now(), kvps * cfg_.compaction_cpu_per_kvp_ns);
+void LsmStore::read_next_input(std::shared_ptr<CompactionJob> job) {
+  while (job->idx < job->inputs.size() &&
+         job->offset >= job->inputs[job->idx]->file_bytes) {
+    ++job->idx;
+    job->offset = 0;
+  }
+  if (job->idx == job->inputs.size()) {
+    merge_compaction(std::move(job));
+    return;
+  }
+  const Sst& sst = *job->inputs[job->idx];
+  const u64 chunk =
+      std::min<u64>(sst.file_bytes - job->offset, cfg_.io_chunk_bytes);
+  fs_.set_queue(0);  // background reads stay off the tenant queues
+  fs_.read(sst.file, job->offset, chunk,
+           [this, job, chunk](Status, u64) mutable {
+             job->offset += chunk;
+             read_next_input(std::move(job));
+           });
+}
 
-      // Split into output SSTs.
-      std::vector<std::shared_ptr<Sst>> outputs;
-      std::vector<SstEntry> cur;
-      u64 cur_bytes = 0;
-      for (auto& e : kept) {
-        cur_bytes += entry_file_bytes(e);
-        cur.push_back(std::move(e));
-        if (cur_bytes >= cfg_.sst_target_bytes) {
-          outputs.push_back(build_sst(next_sst_id_++, std::move(cur)));
-          cur.clear();
-          cur_bytes = 0;
-        }
-      }
-      if (!cur.empty())
-        outputs.push_back(build_sst(next_sst_id_++, std::move(cur)));
-      for (const auto& o : outputs) {
-        char name[32];
-        std::snprintf(name, sizeof(name), "sst-%llu",
-                      (unsigned long long)o->id);
-        o->file = fs_.create(name);
-      }
-      eq_.schedule_at(t_cpu, [this, outputs, level, inputs_lo, inputs_hi] {
-        write_ssts_then(outputs, [this, level, inputs_lo, inputs_hi,
-                                  outputs] {
-          install_compaction(level, inputs_lo, inputs_hi, outputs);
-        });
-      });
-      return;
+void LsmStore::merge_compaction(std::shared_ptr<CompactionJob> job) {
+  // All inputs read; merge on the background CPU.
+  std::vector<SstEntry> merged;
+  u64 kvps = 0;
+  for (const auto& s : job->inputs) kvps += s->entries.size();
+  merged.reserve(kvps);
+  for (const auto& s : job->inputs)
+    merged.insert(merged.end(), s->entries.begin(), s->entries.end());
+  std::sort(merged.begin(), merged.end(),
+            [](const SstEntry& a, const SstEntry& b) {
+              return a.key != b.key ? a.key < b.key : a.seq > b.seq;
+            });
+  // Keep newest version per key; drop tombstones at the bottom.
+  bool bottom = true;
+  for (u32 j = job->level + 2; j < (u32)levels_.size(); ++j)
+    if (!levels_[j].empty()) bottom = false;
+  std::vector<SstEntry> kept;
+  kept.reserve(merged.size());
+  std::string last_key;
+  bool have_last = false;
+  for (auto& e : merged) {
+    if (have_last && last_key == e.key) continue;
+    last_key = e.key;
+    have_last = true;
+    if (e.tombstone && bottom) continue;  // tombstones die at the bottom
+    kept.push_back(std::move(e));
+  }
+  cpu_ns_ += kvps * cfg_.compaction_cpu_per_kvp_ns;
+  const TimeNs t_cpu =
+      bg_cpu_.reserve(eq_.now(), kvps * cfg_.compaction_cpu_per_kvp_ns);
+
+  // Split into output SSTs.
+  std::vector<SstEntry> cur;
+  u64 cur_bytes = 0;
+  for (auto& e : kept) {
+    cur_bytes += entry_file_bytes(e);
+    cur.push_back(std::move(e));
+    if (cur_bytes >= cfg_.sst_target_bytes) {
+      job->outputs.push_back(build_sst(next_sst_id_++, std::move(cur)));
+      cur.clear();
+      cur_bytes = 0;
     }
-    Sst& sst = *(*inputs)[rs->idx];
-    if (rs->offset >= sst.file_bytes) {
-      ++rs->idx;
-      rs->offset = 0;
-      (*step)();
-      return;
-    }
-    const u64 chunk =
-        std::min<u64>(sst.file_bytes - rs->offset, cfg_.io_chunk_bytes);
-    fs_.set_queue(0);  // background reads stay off the tenant queues
-    fs_.read(sst.file, rs->offset, chunk, [rs, step, chunk](Status, u64) {
-      rs->offset += chunk;
-      (*step)();
+  }
+  if (!cur.empty())
+    job->outputs.push_back(build_sst(next_sst_id_++, std::move(cur)));
+  for (const auto& o : job->outputs) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "sst-%llu", (unsigned long long)o->id);
+    o->file = fs_.create(name);
+  }
+  eq_.schedule_at(t_cpu, [this, job] {
+    write_ssts_then(job->outputs, [this, job] {
+      install_compaction(job->level, std::move(job->inputs_lo),
+                         std::move(job->inputs_hi), std::move(job->outputs));
     });
-  };
-  (*step)();
+  });
 }
 
 void LsmStore::install_compaction(
@@ -606,15 +605,9 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   for (auto& level : levels_)
     for (auto& s : level) s->compacting = false;
 
-  struct Gate {
-    int pending = 1;
-    sim::Task done;
-    void open() {
-      if (--pending == 0) done();
-    }
-  };
-  auto gate = std::make_shared<Gate>();
-  gate->done = std::move(done);
+  // One held arrival, released at the end; each recovery read, remove and
+  // CPU slot below adds one.
+  auto gate = sim::make_latch(1, std::move(done));
 
   // ---- mount 1/3: keep only SSTs whose every block reached flash ---------
   // The manifest (levels structure) and fs metadata are modeled as
@@ -629,9 +622,9 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
     kept.reserve(level.size());
     for (auto& s : level) {
       ++footer_reads;
-      ++gate->pending;
+      ++gate->remaining;
       fs_.read(s->file, 0, std::min<u64>(s->file_bytes, 4 * KiB),
-               [gate](Status, u64) { gate->open(); });
+               [gate](Status, u64) { gate->arrive(); });
       if (fs_.probe_durable(s->file, 0, s->file_bytes)) {
         survivors.push_back(s->file);
         kept.push_back(s);
@@ -651,8 +644,8 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
     if (h == fs::FileSystem::kInvalidHandle) continue;
     if (std::find(survivors.begin(), survivors.end(), h) != survivors.end())
       continue;
-    ++gate->pending;
-    fs_.remove(h, [gate](Status) { gate->open(); });
+    ++gate->remaining;
+    fs_.remove(h, [gate](Status) { gate->arrive(); });
   }
 
   // ---- mount 2/3: replay the durable prefix of every WAL segment ---------
@@ -680,9 +673,9 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
       ++out.wal_chunks_scanned;
       if (!torn &&
           fs_.probe_durable(led.file, c.file_block * bb, c.blocks * bb)) {
-        ++gate->pending;
+        ++gate->remaining;
         fs_.read_blocks(led.file, c.file_block, c.blocks,
-                        [gate](Status, u64) { gate->open(); });
+                        [gate](Status, u64) { gate->arrive(); });
         for (const WalRecord& r : c.records) {
           ++out.wal_records_replayed;
           if (sst_covers(r.key, r.seq)) continue;
@@ -743,10 +736,10 @@ void LsmStore::power_fail_and_recover(HostRecovery& out, sim::Task done) {
   const TimeNs cpu = footer_reads * cfg_.block_parse_ns +
                      out.wal_records_replayed * cfg_.memtable_insert_ns;
   cpu_ns_ += cpu;
-  ++gate->pending;
-  eq_.schedule_at(fg_cpu_.reserve(now, cpu), [gate] { gate->open(); });
+  ++gate->remaining;
+  eq_.schedule_at(fg_cpu_.reserve(now, cpu), [gate] { gate->arrive(); });
 
-  gate->open();  // release the initial hold
+  gate->arrive();  // release the initial hold
 }
 
 // ---------------------------------------------------------------------------

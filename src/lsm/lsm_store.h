@@ -150,8 +150,17 @@ class LsmStore {
   void install_compaction(u32 level, std::vector<std::shared_ptr<Sst>> inputs_lo,
                           std::vector<std::shared_ptr<Sst>> inputs_hi,
                           std::vector<std::shared_ptr<Sst>> outputs);
+  struct CompactionJob;
+  /// A merging compaction reads its inputs one io_chunk_bytes piece at a
+  /// time, merges them on the background CPU, writes the outputs, and
+  /// installs them.
+  void read_next_input(std::shared_ptr<CompactionJob> job);
+  void merge_compaction(std::shared_ptr<CompactionJob> job);
+  struct SstWrite;
+  /// Append `ssts` one io_chunk_bytes piece at a time, then run `done`.
   void write_ssts_then(std::vector<std::shared_ptr<Sst>> ssts,
-                       std::function<void()> done);
+                       sim::Task done);
+  void write_next_chunk(std::shared_ptr<SstWrite> w);
   void maybe_quiesce();
 
   // read path

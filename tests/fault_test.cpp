@@ -474,6 +474,44 @@ TEST_P(RetryBudgetEndToEnd, CapsReDrivesAndSurfacesDeniedFailures) {
 INSTANTIATE_TEST_SUITE_P(AllBeds, RetryBudgetEndToEnd,
                          ::testing::Values("kvssd", "lsm", "hashkv"));
 
+// --- an abandoned retry chain frees its state -------------------------------
+
+// A retrieve whose every flash read is uncorrectable parks in a backoff
+// window between attempts. A power cut there (discard_pending) drops the
+// backoff event, the chain's only owner, so the op's completion, and
+// everything it captured, must be freed with it.
+TEST(RetryLifetime, ChainCutInBackoffWindowFreesItsState) {
+  KvssdBedConfig c;
+  c.dev = tiny_dev();
+  KvssdBed bed(c);
+  Status st = Status::kIoError;
+  bed.store("lifetime-key-0001", ValueDesc{2048, 7},
+            [&](Status s) { st = s; });
+  bool drained = false;
+  bed.drain([&] { drained = true; });  // the value leaves the write buffer
+  bed.eq().run();
+  ASSERT_EQ(st, Status::kOk);
+  ASSERT_TRUE(drained);
+
+  ssd::FaultPlan plan;
+  plan.enabled = true;
+  plan.read_uber_base = 1.0;
+  plan.read_uber_max = 1.0;
+  bed.apply_fault_plan(plan);
+  auto token = std::make_shared<int>(0);
+  bool completed = false;
+  bed.retrieve("lifetime-key-0001",
+               [token, &completed](Status, ValueDesc) { completed = true; });
+  while (bed.host_retries() == 0 && bed.eq().step()) {
+  }
+  ASSERT_EQ(bed.host_retries(), 1u);  // attempt 0 failed, backoff pending
+  ASSERT_FALSE(completed);
+  EXPECT_GT(token.use_count(), 1);
+  bed.eq().discard_pending();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_FALSE(completed);
+}
+
 // --- caches fill only from a read that succeeded ---------------------------
 
 // A flash read that times out must not leave its page in the block FTL's

@@ -3,6 +3,7 @@
 // hints, and iterator access.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "harness/stacks.h"
@@ -283,6 +284,32 @@ TEST(KvsNamespaces, DeleteRemovesOnlyThatSpace) {
   auto [s, v] = api.retrieve("keeper-1");
   EXPECT_EQ(s, Status::kOk);
   EXPECT_EQ(v.fingerprint, 9u);
+}
+
+// delete_namespace removes one key per step; a power cut partway through
+// (discard_pending) drops the pending remove, the chain's only owner, so
+// the completion and everything it captured must be freed with it.
+TEST(KvsNamespaces, DeleteCutPartwayFreesItsState) {
+  Api api;
+  for (int i = 0; i < 20; ++i) {
+    Status st = Status::kIoError;
+    api.bed.device().store("bulk" + std::to_string(i), ValueDesc{64, (u64)i},
+                           [&](Status s) { st = s; }, 0, 3);
+    api.bed.eq().run();
+    ASSERT_EQ(st, Status::kOk);
+  }
+  auto token = std::make_shared<int>(0);
+  bool completed = false;
+  api.bed.device().delete_namespace(
+      3, [token, &completed](u64) { completed = true; });
+  while (api.bed.device().kvp_count_in(3) > 10 && api.bed.eq().step()) {
+  }
+  ASSERT_EQ(api.bed.device().kvp_count_in(3), 10u);
+  ASSERT_FALSE(completed);
+  EXPECT_GT(token.use_count(), 1);
+  api.bed.eq().discard_pending();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_FALSE(completed);
 }
 
 TEST(KvsNamespaces, IteratorBucketsScopedByNamespace) {
